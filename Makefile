@@ -1,13 +1,9 @@
-.PHONY: all build test smoke sweep-check bench-json ci clean
+.PHONY: all build test smoke sweep-check ci clean
 
 # Cell-level parallelism for the experiment sweeps below. Output and
 # trace exports are byte-identical at any value (see DESIGN.md §11), so
 # JOBS only changes wall-clock: `make smoke JOBS=4`.
 JOBS ?= 1
-
-# Root seed for `make bench-json`; event counts in BENCH_ENGINE.json are
-# a pure function of it.
-SEED ?= 42
 
 all: build
 
@@ -18,7 +14,7 @@ test: build
 	dune runtest
 
 # Fast end-to-end check for CI: full build + unit/property suites, then a
-# small traced bench run whose JSON export must parse and satisfy the
+# small traced fig12 run whose JSON export must parse and satisfy the
 # occupancy invariant (trace_lint exits non-zero otherwise), then a short
 # chaos run — the seeded fault matrix with the Core_state audit, the
 # hung-vCPU watchdog oracle and trace_lint as pass/fail gates — then the
@@ -33,9 +29,8 @@ test: build
 # fleet checks (".nic<NN>" labels, recv-side cross-NIC causality,
 # non-negative fleet.* counters).
 smoke: test
-	BENCH_ONLY=fig12 BENCH_SCALE=0.05 BENCH_JOBS=$(JOBS) \
-		BENCH_TRACE_JSON=_build/smoke-trace.json \
-		dune exec bench/main.exe
+	dune exec bin/taichi_sim.exe -- fig12 --seed 42 --scale 0.05 \
+		--jobs $(JOBS) --trace-json _build/smoke-trace.json
 	dune exec bin/trace_lint.exe -- _build/smoke-trace.json
 	dune exec bin/taichi_sim.exe -- chaos --seed 42 --scale 0.1 \
 		--jobs $(JOBS) --trace-json _build/chaos-trace.json
@@ -70,23 +65,6 @@ sweep-check: build
 	sed 's|_build/sweep/j4.json|TRACE|' _build/sweep/j4.out > _build/sweep/j4.norm
 	cmp _build/sweep/j1.norm _build/sweep/j4.norm
 	dune exec bin/trace_lint.exe -- _build/sweep/j4.json
-
-# Engine throughput trajectory: run the bench's engine sections (the
-# fig17-shaped hot-path replay against the seed binary-heap engine, the
-# full-work string-vs-handle hot path, the counter and packet-arena
-# microbenches, plus per-fig17-cell events/sec) and write the
-# schema-versioned, seed-stamped BENCH_ENGINE.json, then validate its
-# shape with bench_lint and hold it to the committed perf floors
-# (BENCH_FLOORS.json: minimum events/sec and speedups, zero allocation
-# per op on the handle/arena paths). Event counts and allocation rates
-# are deterministic for a given seed; only wall-clock fields vary run to
-# run. CI uploads the file as an artifact so the speedup is a tracked
-# trajectory rather than a number in a commit message.
-bench-json: build
-	BENCH_ONLY=none BENCH_SCALE=0.05 BENCH_SEED=$(SEED) \
-		BENCH_ENGINE_JSON=_build/BENCH_ENGINE.json \
-		dune exec bench/main.exe
-	dune exec bin/bench_lint.exe -- _build/BENCH_ENGINE.json BENCH_FLOORS.json
 
 ci: smoke sweep-check
 

@@ -55,7 +55,7 @@ let chaos_profile_arg =
     "Restrict the chaos experiment to one fault profile ("
     ^ String.concat ", "
         (List.map fst Taichi_faults.Injector.profiles)
-    ^ "). Defaults to the full matrix (or $(b,CHAOS_PROFILE))."
+    ^ "). Defaults to the full matrix."
   in
   Arg.(
     value
@@ -65,7 +65,7 @@ let chaos_profile_arg =
 let overload_governor_arg =
   let doc =
     "Restrict the overload experiment to one governor setting ($(b,on) or \
-     $(b,off)). Defaults to both (or $(b,OVERLOAD_GOVERNOR))."
+     $(b,off)). Defaults to both."
   in
   Arg.(
     value
@@ -76,8 +76,7 @@ let aggressor_arg =
   let doc =
     "Restrict the multitenant experiment to the aggressor ($(b,on): CP \
      storm / DP burst cells) or contention-only ($(b,off): saturation / \
-     idle cells) half of the grid. Defaults to both (or \
-     $(b,MULTITENANT_AGGRESSOR))."
+     idle cells) half of the grid. Defaults to both."
   in
   Arg.(
     value
@@ -89,7 +88,7 @@ let churn_profile_arg =
     "Restrict the churn experiment to one churn profile ($(b,steady): \
      arrival waves and forced departure, $(b,flap): thrash / refusal / \
      determinism repeat, $(b,chaos): chaos-under-churn). Defaults to the \
-     full grid (or $(b,CHURN_PROFILE))."
+     full grid."
   in
   Arg.(
     value
@@ -100,14 +99,14 @@ let nics_arg =
   let doc =
     "Restrict the fleet experiment to the cells whose rack is $(docv) \
      NICs wide (8 or 16; the determinism repeat rides with the 8-NIC \
-     cells). Defaults to every width (or $(b,FLEET_NICS))."
+     cells). Defaults to every width."
   in
   Arg.(value & opt (some int) None & info [ "nics" ] ~docv:"N" ~doc)
 
 let failover_arg =
   let doc =
     "Restrict the fleet experiment to one failover setting ($(b,on) or \
-     $(b,off)). Defaults to both (or $(b,FLEET_FAILOVER))."
+     $(b,off)). Defaults to both."
   in
   Arg.(
     value
@@ -150,9 +149,8 @@ let report_audit_failures failures =
   Printf.eprintf "%d run(s) failed the post-experiment audit\n"
     (List.length failures)
 
-(* The CI matrix narrows chaos/overload through the environment; an
-   explicit flag wins over it. Both become plain cell filters on the
-   relevant descriptor — no module state anywhere. *)
+(* The narrowing flags become plain cell filters on the relevant
+   descriptor — no module state anywhere. *)
 let filter_for ~chaos_profile ~overload_governor ~aggressor ~churn_profile
     ~fleet_nics ~fleet_failover desc =
   match P.Exp_desc.name desc with
@@ -198,44 +196,6 @@ let run name seed scale jobs list trace trace_json chaos_profile
         Printf.eprintf "missing EXPERIMENT (try --list)\n";
         1
     | Some name -> (
-        let chaos_profile =
-          match chaos_profile with
-          | Some _ as p -> p
-          | None -> Sys.getenv_opt "CHAOS_PROFILE"
-        in
-        let overload_governor =
-          match overload_governor with
-          | Some _ as g -> g
-          | None -> Sys.getenv_opt "OVERLOAD_GOVERNOR"
-        in
-        let aggressor =
-          match aggressor with
-          | Some _ as a -> a
-          | None -> Sys.getenv_opt "MULTITENANT_AGGRESSOR"
-        in
-        let churn_profile =
-          match churn_profile with
-          | Some _ as p -> p
-          | None -> Sys.getenv_opt "CHURN_PROFILE"
-        in
-        let fleet_nics =
-          match fleet_nics with
-          | Some _ as n -> n
-          | None -> (
-              match Sys.getenv_opt "FLEET_NICS" with
-              | Some s -> (
-                  match int_of_string_opt s with
-                  | Some n -> Some n
-                  | None ->
-                      Printf.eprintf "ignoring non-numeric FLEET_NICS=%s\n" s;
-                      None)
-              | None -> None)
-        in
-        let fleet_failover =
-          match fleet_failover with
-          | Some _ as f -> f
-          | None -> Sys.getenv_opt "FLEET_FAILOVER"
-        in
         let tracing = trace || trace_json <> None in
         (* Collect audit violations instead of aborting mid-batch: every
            experiment still runs, then the process exits with the distinct

@@ -52,11 +52,6 @@ let bits64 r =
   r.s3 <- rotl r.s3 45;
   result
 
-let fill_array r a =
-  for i = 0 to Array.length a - 1 do
-    a.(i) <- bits64 r
-  done
-
 let nonneg r = Int64.to_int (Int64.shift_right_logical (bits64 r) 2)
 
 let int r n =

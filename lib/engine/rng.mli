@@ -20,13 +20,6 @@ val split : t -> string -> t
 val bits64 : t -> int64
 (** [bits64 rng] is the next raw 64-bit output. *)
 
-val fill_array : t -> int64 array -> unit
-(** [fill_array rng a] fills [a] with the next [Array.length a] raw
-    outputs in stream order: [a.(i)] is exactly what the [i]-th
-    subsequent {!bits64} call would have returned. Hot cells hoist their
-    per-event draws into one per-batch prefill (amortising the generator
-    state updates over the batch) without perturbing the stream. *)
-
 val int : t -> int -> int
 (** [int rng n] is uniform in [\[0, n)]. Raises [Invalid_argument] when
     [n <= 0]. *)

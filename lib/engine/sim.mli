@@ -10,8 +10,8 @@
     cancel / fire hot path allocates nothing: no closures, no per-event
     queue nodes, and handles are immediate ints (slot index packed with
     the slot generation). Fire order is bit-identical to the seed
-    binary-heap engine, which is kept as {!Sim_legacy} and enforced as a
-    differential oracle in the test suite. *)
+    binary-heap engine, which the test suite keeps as [Sim_legacy] and
+    enforces as a differential oracle. *)
 
 type t
 (** A simulator instance. *)

@@ -170,7 +170,7 @@ let chaos_grid =
     [ Injector.flaky; Injector.storm ]
 
 (* The CI matrix pins one profile per job; the CLI turns
-   --chaos-profile / CHAOS_PROFILE into a cell filter over these keys. *)
+   --chaos-profile into a cell filter over these keys. *)
 let profile_filter name cell =
   match Injector.of_name name with
   | None -> failwith (Printf.sprintf "chaos: unknown fault profile %s" name)

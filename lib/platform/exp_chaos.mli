@@ -25,5 +25,4 @@ val chaos : Exp_desc.t
 
 val profile_filter : string -> Exp_desc.cell -> bool
 (** Cell filter keeping only the named profile's matrix row (the CLI's
-    [--chaos-profile] / the [CHAOS_PROFILE] environment variable).
-    Raises [Failure] on an unknown profile name. *)
+    [--chaos-profile]). Raises [Failure] on an unknown profile name. *)

@@ -508,9 +508,9 @@ let grid =
     cell "repeat-flap" "determinism repeat: 4 rapid flaps" `Repeat;
   ]
 
-(* The CI matrix pins one profile per job; the CLI turns --churn-profile /
-   CHURN_PROFILE into a cell filter over these keys (the repeat cell rides
-   with the flap profile). *)
+(* The CI matrix pins one profile per job; the CLI turns --churn-profile
+   into a cell filter over these keys (the repeat cell rides with the
+   flap profile). *)
 let profile_filter setting cell =
   let prefix s =
     let k = cell.Exp_desc.key in

@@ -224,9 +224,9 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* The CI matrix pins (nics, failover) per job; the CLI turns --nics /
-   FLEET_NICS and --failover / FLEET_FAILOVER into cell filters over
-   these keys (the repeat cell rides with its base cell's settings). *)
+(* The CI matrix pins (nics, failover) per job; the CLI turns --nics and
+   --failover into cell filters over these keys (the repeat cell rides
+   with its base cell's settings). *)
 let nics_filter n cell =
   contains ~needle:(Printf.sprintf "n%d-" n) cell.Exp_desc.key
 

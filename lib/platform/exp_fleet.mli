@@ -33,10 +33,8 @@ val fleet : Exp_desc.t
 
 val nics_filter : int -> Exp_desc.cell -> bool
 (** Cell filter keeping the cells whose fleet is [n] NICs wide (the
-    CLI's [--nics] / the [FLEET_NICS] environment variable); the repeat
-    cell rides with its 8-NIC base cell. *)
+    CLI's [--nics]); the repeat cell rides with its 8-NIC base cell. *)
 
 val failover_filter : string -> Exp_desc.cell -> bool
 (** Cell filter keeping one failover setting, ["on"] or ["off"] (the
-    CLI's [--failover] / the [FLEET_FAILOVER] environment variable).
-    Raises [Failure] on any other setting. *)
+    CLI's [--failover]). Raises [Failure] on any other setting. *)

@@ -488,8 +488,8 @@ let grid =
   ]
 
 (* The CI matrix pins one aggressor setting per job; the CLI turns
-   --aggressor / MULTITENANT_AGGRESSOR into a cell filter over these
-   keys (the repeat cell counts as an aggressor cell). *)
+   --aggressor into a cell filter over these keys (the repeat cell counts
+   as an aggressor cell). *)
 let aggressor_filter setting cell =
   let prefix s =
     let k = cell.Exp_desc.key in

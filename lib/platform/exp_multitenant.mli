@@ -12,6 +12,6 @@ val multitenant : Exp_desc.t
 
 val aggressor_filter : string -> Exp_desc.cell -> bool
 (** [aggressor_filter setting] is the cell filter behind the CLI's
-    [--aggressor] / [MULTITENANT_AGGRESSOR] narrowing: ["on"] keeps the
+    [--aggressor] narrowing: ["on"] keeps the
     storm/burst (and determinism-repeat) cells, ["off"] the
     saturation/idle cells. Raises on any other setting. *)

@@ -257,8 +257,8 @@ let overload_grid =
     ]
 
 (* The CI matrix pins one governor setting per job; the CLI turns
-   --overload / OVERLOAD_GOVERNOR into a cell filter over these keys
-   (the repeat cell counts as a governed cell). *)
+   --overload into a cell filter over these keys (the repeat cell counts
+   as a governed cell). *)
 let governor_filter setting cell =
   let suffix s =
     let k = cell.Exp_desc.key in

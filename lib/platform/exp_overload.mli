@@ -25,6 +25,5 @@ val overload : Exp_desc.t
 
 val governor_filter : string -> Exp_desc.cell -> bool
 (** Cell filter keeping one governor setting, ["on"] or ["off"] (the
-    CLI's [--overload] / the [OVERLOAD_GOVERNOR] environment variable);
-    the repeat cell counts as governed. Raises [Failure] on any other
-    setting. *)
+    CLI's [--overload]); the repeat cell counts as governed. Raises
+    [Failure] on any other setting. *)

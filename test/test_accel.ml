@@ -196,6 +196,26 @@ let test_arena_misuse () =
   checki "both live after growth" 2 (Packet.live_packets growable);
   checkb "distinct slots" true (Packet.index a <> Packet.index b)
 
+(* --- Allocation contracts ---------------------------------------------------- *)
+
+(* A heap descriptor must show up in the probe (else a zero reading for
+   the arena would prove nothing); an arena round-trip must not. *)
+let test_packet_create_allocates () =
+  let words =
+    Test_engine.minor_words_per_op (fun i ->
+        ignore
+          (Sys.opaque_identity
+             (Packet.create ~kind:Packet.Net_rx ~size:64 ~dst_core:0 ~tag:i)))
+  in
+  checkb "Packet.create allocates" true (words > 0.0)
+
+let test_arena_roundtrip_no_alloc () =
+  let arena = Packet.arena ~capacity:64 () in
+  Test_engine.check_alloc_free "Packet.alloc + Packet.free"
+    (Test_engine.minor_words_per_op (fun i ->
+         Packet.free arena
+           (Packet.alloc arena ~kind:Packet.Net_rx ~size:64 ~dst_core:0 ~tag:i)))
+
 let suite =
   [
     ("ring FIFO", `Quick, test_ring_fifo);
@@ -209,5 +229,9 @@ let suite =
     ("vcpu placement", `Quick, test_vcpu_placement);
     ("cost model defaults", `Quick, test_cost_model_defaults);
     ("packet arena misuse", `Quick, test_arena_misuse);
+    ("packet create allocates", `Quick, test_packet_create_allocates);
+    ( "packet arena alloc/free allocates nothing",
+      `Quick,
+      test_arena_roundtrip_no_alloc );
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
   ]

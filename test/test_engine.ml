@@ -406,6 +406,41 @@ let prop_counters_handle_string_equiv =
            (fun name -> Counters.get mixed name = Counters.get reference name)
            names)
 
+(* --- Allocation contracts ---------------------------------------------------- *)
+
+(* Minor-heap words allocated per call of [f] over [n] calls, measured
+   after one warm-up pass so first-touch interning and lane growth are
+   excluded. The probe itself costs a few words in total, far below the
+   0.01 words/op caps below. *)
+let minor_words_per_op ?(n = 100_000) f =
+  for i = 0 to n - 1 do
+    f i
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let alloc_free_cap = 0.01
+
+let check_alloc_free what words =
+  if words > alloc_free_cap then
+    Alcotest.failf "%s allocates %f minor words/op (cap %g)" what words
+      alloc_free_cap
+
+let test_counters_incr_h_alloc_free () =
+  let c = Counters.create () in
+  let h = Counters.handle c "dp.packets_done" in
+  check_alloc_free "Counters.incr_h"
+    (minor_words_per_op (fun _ -> Counters.incr_h c h))
+
+let test_counters_lane_incr_alloc_free () =
+  let c = Counters.create () in
+  let l = Counters.lane c "dp.packets_done" in
+  check_alloc_free "Counters.lane_incr"
+    (minor_words_per_op (fun i -> Counters.lane_incr l (i land 3)))
+
 (* --- Pheap regression: grow after clear ------------------------------------ *)
 
 (* [Pheap.grow] used to size the new store off [h.arr.(0)], which crashed
@@ -827,6 +862,10 @@ let suite =
     ("trace core field", `Quick, test_trace_core_field);
     ("counters registry", `Quick, test_counters);
     ("stats clear", `Quick, test_stats_clear);
+    ("counters incr_h allocates nothing", `Quick, test_counters_incr_h_alloc_free);
+    ( "counters lane_incr allocates nothing",
+      `Quick,
+      test_counters_lane_incr_alloc_free );
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_heap_compact_live_set;
     QCheck_alcotest.to_alcotest prop_rng_int_range;
