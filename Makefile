@@ -1,4 +1,4 @@
-.PHONY: all build test smoke sweep-check ci clean
+.PHONY: all build test smoke sweep-check golden-update ci clean
 
 # Cell-level parallelism for the experiment sweeps below. Output and
 # trace exports are byte-identical at any value (see DESIGN.md §11), so
@@ -65,6 +65,14 @@ sweep-check: build
 	sed 's|_build/sweep/j4.json|TRACE|' _build/sweep/j4.out > _build/sweep/j4.norm
 	cmp _build/sweep/j1.norm _build/sweep/j4.norm
 	dune exec bin/trace_lint.exe -- _build/sweep/j4.json
+
+# Re-promote every committed golden digest under test/golden: the tier-1
+# stdout digests and the two CI digest files. Dune prints the lines that
+# changed and promotes them; the second build then checks the promoted
+# files.
+golden-update: build
+	dune build @test/golden/runtest @test/golden/golden-ci --auto-promote \
+		|| dune build @test/golden/runtest @test/golden/golden-ci
 
 ci: smoke sweep-check
 
