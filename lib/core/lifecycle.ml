@@ -230,15 +230,14 @@ let admit t ?(vcpus = 1) ?(services = 1) (spec : Tenant.spec) =
    timer at min(cap, base * 2^attempt) until the admission lands or the
    attempt budget runs out. Everything is driven off the simulated clock,
    so two runs with the same seed retry at the same instants. *)
-let admit_with_backoff t ?on_refused ?vcpus ?services (spec : Tenant.spec)
-    ~on_admitted ~on_abandoned =
+let admit_with_backoff t ?vcpus ?services (spec : Tenant.spec) ~on_admitted
+    ~on_abandoned =
   let base = t.config.Config.admit_retry_base in
   let cap = t.config.Config.admit_retry_cap in
   let rec attempt n =
     match admit t ?vcpus ?services spec with
     | Ok id -> on_admitted id
     | Error r ->
-        (match on_refused with None -> () | Some f -> f r);
         if n >= t.config.Config.admit_retry_max then begin
           count t t.h_admit_abandoned;
           emitf t "abandoned name=%s attempts=%d" spec.Tenant.name n;

@@ -74,7 +74,6 @@ val admit :
 
 val admit_with_backoff :
   t ->
-  ?on_refused:(refusal -> unit) ->
   ?vcpus:int ->
   ?services:int ->
   Tenant.spec ->
@@ -82,10 +81,7 @@ val admit_with_backoff :
   on_abandoned:(refusal -> unit) ->
   unit
 (** {!admit} with deterministic capped-exponential retry on refusal;
-    abandons (counted) after [Config.admit_retry_max] attempts.
-    [?on_refused] fires on every individual refusal (including the final
-    one before an abandon) — the fleet failover manager uses it to record
-    per-NIC pushback receipts. *)
+    abandons (counted) after [Config.admit_retry_max] attempts. *)
 
 val retire : t -> tenant:int -> unit
 (** Begin the graceful drain of a dynamically admitted tenant. Raises

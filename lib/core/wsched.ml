@@ -35,6 +35,8 @@ type 'a t = {
   mutable charged : int array; (* raw grant ns per tenant, for metrics *)
   mutable backlog : int array; (* queued element count per tenant *)
   mutable live : bool array; (* false once retired; lane is frozen *)
+  mutable tried : int array; (* = stamp: gate-rejected in the current pop *)
+  mutable stamp : int; (* bumped once per pop *)
   mutable total : int;
   mutable vnow : int; (* virtual clock of the last tenant served *)
 }
@@ -43,13 +45,9 @@ type 'a t = {
    integer division from erasing small charges under large weights. *)
 let vscale = 256
 
-(* Tenant selection tracks gate-rejected tenants in an int bitmask. *)
-let max_tenants = Sys.int_size - 2
-
 let create ~weights ~classes =
   let n = Array.length weights in
   if n = 0 then invalid_arg "Wsched.create: empty weights array (no tenants)";
-  if n > max_tenants then invalid_arg "Wsched.create: too many tenants";
   Array.iteri
     (fun i w ->
       if w <= 0 then
@@ -65,6 +63,8 @@ let create ~weights ~classes =
     charged = Array.make n 0;
     backlog = Array.make n 0;
     live = Array.make n true;
+    tried = Array.make n 0;
+    stamp = 0;
     total = 0;
     vnow = 0;
   }
@@ -98,38 +98,38 @@ let pop_class t tid =
   in
   go 0
 
+(* Minimum (vt, id) over backlogged live tenants not yet gate-rejected
+   in this pop (their [tried] entry holds this pop's stamp); scanning
+   downward with [<=] makes equal clocks resolve to the lower id. *)
+let rec select ~gate t stamp =
+  let best = ref (-1) in
+  for i = tenants t - 1 downto 0 do
+    if t.backlog.(i) > 0 && t.live.(i) && t.tried.(i) <> stamp then
+      if !best < 0 || t.vt.(i) <= t.vt.(!best) then best := i
+  done;
+  if !best < 0 then None
+  else
+    let tid = !best in
+    if gate tid then begin
+      match pop_class t tid with
+      | None -> assert false (* backlog said nonempty *)
+      | popped ->
+          t.backlog.(tid) <- t.backlog.(tid) - 1;
+          t.total <- t.total - 1;
+          t.vnow <- t.vt.(tid);
+          popped
+    end
+    else begin
+      t.tried.(tid) <- stamp;
+      select ~gate t stamp
+    end
+
 let pop ~gate t =
   if t.total = 0 then None
-  else
-    let n = tenants t in
-    let tried = ref 0 in
-    let rec select () =
-      (* Minimum (vt, id) over backlogged live tenants not yet
-         gate-rejected; scanning downward with [<=] makes equal clocks
-         resolve to the lower id. *)
-      let best = ref (-1) in
-      for i = n - 1 downto 0 do
-        if t.backlog.(i) > 0 && t.live.(i) && !tried land (1 lsl i) = 0 then
-          if !best < 0 || t.vt.(i) <= t.vt.(!best) then best := i
-      done;
-      if !best < 0 then None
-      else
-        let tid = !best in
-        if gate tid then begin
-          match pop_class t tid with
-          | None -> assert false (* backlog said nonempty *)
-          | Some x ->
-              t.backlog.(tid) <- t.backlog.(tid) - 1;
-              t.total <- t.total - 1;
-              t.vnow <- t.vt.(tid);
-              Some x
-        end
-        else begin
-          tried := !tried lor (1 lsl tid);
-          select ()
-        end
-    in
-    select ()
+  else begin
+    t.stamp <- t.stamp + 1;
+    select ~gate t t.stamp
+  end
 
 let charge t ~tenant amount =
   if tenant < 0 || tenant >= tenants t then
@@ -166,7 +166,6 @@ let admit t ~weight =
   if weight <= 0 then
     invalid_arg
       (Printf.sprintf "Wsched.admit: non-positive weight for tenant %d" id);
-  if id >= max_tenants then invalid_arg "Wsched.admit: too many tenants";
   let vt0 = entry_clock t in
   t.weights <- append t.weights weight;
   t.queues <-
@@ -175,6 +174,7 @@ let admit t ~weight =
   t.charged <- append t.charged 0;
   t.backlog <- append t.backlog 0;
   t.live <- append t.live true;
+  t.tried <- append t.tried 0;
   id
 
 (* Drain every queued element of one tenant, in pop order (class rank,

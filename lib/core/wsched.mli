@@ -19,7 +19,7 @@ val create : weights:int array -> classes:int -> 'a t
     weight per tenant (ids are the array indices) and [classes] strict
     priority ranks per tenant. Raises [Invalid_argument] naming the
     offender on an empty weights array or a non-positive weight, and on
-    [classes <= 0] or more tenants than an int bitmask can track. *)
+    [classes <= 0]. *)
 
 val admit : 'a t -> weight:int -> int
 (** [admit t ~weight] appends a live lane and returns its tenant id.

@@ -135,15 +135,6 @@ let victim_hist sys ~tenant =
     (Histogram.create ())
     (List.filteri (fun i _ -> i < keep) dps)
 
-let fingerprint_of sys extras =
-  let counters = Counters.dump (Machine.counters (System.machine sys)) in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
-    (List.sort compare counters);
-  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 let at sys offset f = ignore (Sim.after (System.sim sys) offset f)
 
 let lifecycle_of sys =
@@ -380,7 +371,7 @@ let measure ctx ~seed ~scale ~key ~scenario =
         population = Tenant.count table;
         victims;
         fingerprint =
-          fingerprint_of sys
+          fingerprint [ ("", sys) ]
             (List.map
                (fun v -> Printf.sprintf "p99.%s=%.3f" v.vname v.p99_us)
                victims);

@@ -40,6 +40,18 @@ let harvest_run ~ctx ~seed sys =
   in
   Run_ctx.harvest ctx run
 
+let fingerprint systems extras =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (label, sys) ->
+      Buffer.add_string buf label;
+      List.iter
+        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
+        (Counters.dump (Machine.counters (System.machine sys))))
+    systems;
+  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 (* --- post-run audit ------------------------------------------------------ *)
 
 (* In [Abort] mode an audit violation kills the run (the behaviour tests

@@ -22,6 +22,14 @@ val check_audit : ctx:Run_ctx.t -> seed:int -> System.t -> unit
     abort or collect per the context's audit mode. Exposed for the fleet
     harness, which audits each surviving NIC. *)
 
+val fingerprint : (string * System.t) list -> string list -> string
+(** [fingerprint systems extras] is the md5 hex digest of finished runs
+    that the determinism-repeat oracles compare: for each
+    [(label, system)] the label, then every machine counter as
+    ["name=value;"] in {!Taichi_engine.Counters.dump} order; then each
+    extra as ["s;"]. Single-system cells pass one system labelled [""];
+    the fleet labels each NIC ["nic<i>:"]. *)
+
 val with_system :
   ?layout:System.layout ->
   ?prepare:(Taichi_hw.Machine.t -> unit) ->

@@ -245,8 +245,8 @@ let fleet =
     ~description:
       "Region-wide VM-startup storm across 8-16 NICs with mid-storm NIC \
        crashes: deterministic epoch exchange, cross-NIC RPC \
-       timeout/retry accounting, tenant failover through refusable \
-       backoff admission, fleet SLO attainment governor on/off"
+       timeout/retry accounting, tenant failover by a reconcile loop over \
+       refusable admission, fleet SLO attainment governor on/off"
     ~cells:(List.map fst grid)
     ~run_cell:(fun ctx ~seed ~scale cell ->
       match
@@ -287,7 +287,6 @@ let fleet =
               ("committed", Table.Right);
               ("replaced", Table.Right);
               ("refused", Table.Right);
-              ("abandoned", Table.Right);
               ("lost", Table.Right);
               ("rpc", Table.Right);
               ("retries", Table.Right);
@@ -309,7 +308,6 @@ let fleet =
               string_of_int (List.length rep.Fleet_run.r_committed);
               string_of_int (List.length rep.Fleet_run.r_replaced);
               string_of_int rep.Fleet_run.r_refused;
-              string_of_int rep.Fleet_run.r_abandoned;
               string_of_int (List.length rep.Fleet_run.r_lost);
               Printf.sprintf "%d/%d"
                 (sum (fun r -> r.Fleet_run.nr_rpc_completed))

@@ -159,19 +159,6 @@ let burst sys ~cores ~until =
         }
       ~cores:sto ~kind:Packet.Storage_read ~size:4096 ~until
 
-(* Deterministic digest of the cell (same discipline as exp_overload):
-   identical seeds must reproduce it bit-for-bit. *)
-let fingerprint_of sys extras =
-  let counters =
-    Counters.dump (Taichi_hw.Machine.counters (System.machine sys))
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
-    (List.sort compare counters);
-  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* --- one cell ------------------------------------------------------------ *)
 
 let measure ctx ~seed ~scale ~key ~specs ~scenario =
@@ -325,7 +312,7 @@ let measure ctx ~seed ~scale ~key ~specs ~scenario =
         vms_done = List.length (List.filter Task.is_finished storm_tasks);
         vms_total = List.length storm_tasks;
         fingerprint =
-          fingerprint_of sys
+          fingerprint [ ("", sys) ]
             (List.map (fun r -> Printf.sprintf "p99.%d=%.3f" r.tid r.p99_us) rows);
       })
 

@@ -76,20 +76,6 @@ let storm sys ~density ~spread ~recorder =
     tasks;
   tasks
 
-(* A deterministic digest of everything the cell measured: identical
-   seeds must reproduce it bit-for-bit (the acceptance oracle below runs
-   the hottest cell twice and compares). *)
-let fingerprint_of sys extras =
-  let counters =
-    Counters.dump (Taichi_hw.Machine.counters (System.machine sys))
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d;" k v))
-    (List.sort compare counters);
-  List.iter (fun s -> Buffer.add_string buf (s ^ ";")) extras;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 let measure ctx ~seed ~scale ~density ~governor =
   let config =
     (* Both cells run the no-hardware-probe ablation: without the probe's
@@ -175,7 +161,7 @@ let measure ctx ~seed ~scale ~density ~governor =
           get "overload.deferred.standard" + get "overload.deferred.deferrable";
         held = get "overload.client_held.churn";
         fingerprint =
-          fingerprint_of sys
+          fingerprint [ ("", sys) ]
             [
               Printf.sprintf "p99=%.3f" p99_us;
               Printf.sprintf "startup=%d" (Recorder.count recorder);

@@ -275,6 +275,59 @@ let test_crash_during_drain_failover () =
         (List.mem r.Fleet_run.from_nic rep.Fleet_run.r_crashed))
     rep.Fleet_run.r_replaced
 
+(* --- failover invariants across seeds (full System harness) ------------- *)
+
+(* A 6-NIC rack, two mid-storm crashes, governor on: the second crash
+   can hit the NIC that just took the first crash's tenant. Whatever the
+   timing, every committed (tenant, from_nic) must have exactly one
+   receipt, and must name a tenant that was really admitted on that NIC:
+   its boot tenant, or a receipt that landed there. Not a 4-NIC rack:
+   each NIC floats 2 services and its boot tenant holds one, so two
+   crashes out of four can leave the survivors no capacity at all. *)
+let test_failover_invariants () =
+  let open Taichi_platform in
+  let p =
+    {
+      Fleet_run.default_params with
+      Fleet_run.nics = 6;
+      epochs = 40;
+      fleet_jobs = 2;
+      faults =
+        {
+          Nic_faults.quiet with
+          Nic_faults.crashes = 2;
+          crash_window = (12, 28);
+        };
+    }
+  in
+  for seed = 1 to 12 do
+    let rep = Fleet_run.run ~seed p in
+    let receipts = rep.Fleet_run.r_replaced in
+    List.iter
+      (fun (c : Fleet_run.receipt) ->
+        let what =
+          Printf.sprintf "seed %d: %s committed on NIC %d" seed c.tenant
+            c.from_nic
+        in
+        Alcotest.(check int)
+          (what ^ " has one receipt")
+          1
+          (List.length
+             (List.filter
+                (fun (r : Fleet_run.receipt) ->
+                  r.tenant = c.tenant && r.from_nic = c.from_nic)
+                receipts));
+        Alcotest.(check bool)
+          (what ^ " was admitted there")
+          true
+          (c.tenant = Printf.sprintf "dyn-n%d-0" c.from_nic
+          || List.exists
+               (fun (r : Fleet_run.receipt) ->
+                 r.tenant = c.tenant && r.to_nic = c.from_nic)
+               receipts))
+      rep.Fleet_run.r_committed
+  done
+
 let suite =
   [
     ("exchange determinism (qcheck)", `Slow,
@@ -287,5 +340,7 @@ let suite =
     ("rpc to a crashed NIC abandons", `Quick, test_rpc_dead_destination);
     ("crash during drain: failover stays lossless", `Slow,
      test_crash_during_drain_failover);
+    ("failover invariants, 6 NICs x 2 crashes, seeds 1-12", `Slow,
+     test_failover_invariants);
   ]
   |> List.map (fun (n, s, f) -> Alcotest.test_case n s f)

@@ -362,6 +362,64 @@ let test_gate_skips_only_this_pop () =
   | _ -> Alcotest.fail "gate refusal must not drop the element");
   checkb "empty at the end" true (Wsched.is_empty q)
 
+(* The gate-rejected set is per pop, at any lane count: with 70 lanes
+   and every gate refusing but the last lane's, one pop consults each
+   backlogged lane exactly once and serves the last; the next pop starts
+   with a clean set. *)
+let test_gate_many_lanes () =
+  let n = 70 in
+  let q = Wsched.create ~weights:(Array.make n 1) ~classes:1 in
+  for i = 0 to n - 1 do
+    Wsched.push q ~tenant:i ~cls:0 i
+  done;
+  let asked = Array.make n 0 in
+  let gate i =
+    asked.(i) <- asked.(i) + 1;
+    i = n - 1
+  in
+  (match Wsched.pop ~gate q with
+  | Some x -> checki "the only consenting lane is served" (n - 1) x
+  | None -> Alcotest.fail "a consenting lane was skipped");
+  checkb "each lane asked once" true (Array.for_all (( = ) 1) asked);
+  checkb "refused lanes stay queued, next pop serves lane 0" true
+    (Wsched.pop ~gate:(fun _ -> true) q = Some 0)
+
+(* Tenant ids only grow (retired lanes are frozen, never reused), so a
+   long churn run admits far more tenants over its lifetime than are
+   ever live at once. Each tenant here is admitted, handed a CP task,
+   retired and drained before the next arrives, well past id 61. *)
+let test_lifecycle_past_61 () =
+  let open Taichi_platform in
+  let config =
+    Config.with_churn
+      (Config.with_tenants
+         (Config.no_hw_probe Config.default)
+         [ Tenant.spec "alpha"; Tenant.spec "bravo" ])
+  in
+  Exp_common.with_system ~seed:5 (Policy.Taichi config) (fun sys ->
+      let lc = Option.get (System.lifecycle sys) in
+      let retired = ref 0 in
+      Lifecycle.on_retired lc (fun _ -> incr retired);
+      for n = 1 to 70 do
+        let name = Printf.sprintf "dyn-%d" n in
+        match Lifecycle.admit lc (Tenant.spec name) with
+        | Error r ->
+            Alcotest.failf "admission %d refused: %s" n
+              (Lifecycle.refusal_label r)
+        | Ok id ->
+            checki "ids stay dense" (n + 1) id;
+            System.spawn_cp ~tenant:id sys
+              (Taichi_controlplane.Synth_cp.make ~tenant:id
+                 ~rng:(Rng.split (System.rng sys) name)
+                 ~params:Taichi_controlplane.Synth_cp.default_params
+                 ~locks:[] ~affinity:[] ~name ());
+            Lifecycle.retire lc ~tenant:id;
+            System.advance sys (Time_ns.ms 3)
+      done;
+      checki "every dynamic tenant retired" 70 !retired;
+      checki "one row per lifetime tenant" 72
+        (Tenant.count (System.tenants sys)))
+
 (* --- per-tenant export validation ---------------------------------------- *)
 
 (* A real multi-tenant run: build the system end-to-end so the mirrored
@@ -491,6 +549,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_churn_starvation_bound;
     ("re-admission banks no credit", `Quick, test_readmission_no_credit);
     ("gate skips one pop only", `Quick, test_gate_skips_only_this_pop);
+    ("gate consulted once per lane past 61 lanes", `Quick,
+      test_gate_many_lanes);
+    ("lifecycle admits past 61 lifetime tenants", `Quick,
+      test_lifecycle_past_61);
     ("multi-tenant export validates", `Slow, test_multi_export_validates);
     ("tampered per-tenant export rejected", `Slow,
       test_multi_export_tamper_detected);
