@@ -1,7 +1,8 @@
 (* NIC-level fault domains for a fleet run: which NICs crash, brown out,
-   which fabric halves partition, and where drain-window overruns land —
-   all decided up front as a deterministic plan keyed on epochs, so the
-   fleet controller replays it identically at any --jobs count.
+   which fabric halves partition, and which NIC each drain-window
+   overrun prefers — all decided up front as a deterministic plan keyed
+   on epochs, so the fleet controller replays it identically at any
+   --jobs count.
 
    Every per-NIC decision draws from that NIC's own named stream
    (Rng.split root "nic<i>.<class>"), mirroring the per-class streams of
@@ -106,9 +107,10 @@ let plan ~rng ~nics ~epochs spec =
     add start (Partition_start groups);
     add (start + max 1 spec.partition_hold) Partition_end
   end;
-  (* Drain overruns land during the failover tail: pinned to the second
-     half of the run so they collide with post-crash re-placements — on
-     survivors, never on a NIC the plan already kills. *)
+  (* Drain overruns fire during the failover tail: pinned to the second
+     half of the run so they collide with post-crash re-placements. The
+     event names the pin's preferred home, never a NIC the plan kills;
+     the failover controller may land the pin on another survivor. *)
   List.iter
     (fun (i, nic_rng) ->
       add (in_window nic_rng (epochs / 2, max (epochs / 2) (epochs - 2)))

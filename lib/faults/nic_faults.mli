@@ -19,7 +19,8 @@ type event =
   | Partition_start of int array  (** group id per NIC *)
   | Partition_end
   | Drain_overrun of int
-      (** pin a drain open on this NIC past its window mid-failover *)
+      (** pin a drain open past its window mid-failover; this NIC is the
+          pin's preferred home, not where it must land *)
 
 val event_label : event -> string
 
