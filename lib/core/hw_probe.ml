@@ -8,7 +8,7 @@ type t = {
   sim : Sim.t;
   table : State_table.t;
   sched : Vcpu_sched.t;
-  pending : (int, unit) Hashtbl.t;
+  pending : bool array;  (* by core: probe IRQ in flight *)
   h_triggers : Counters.handle;
   h_suppressed : Counters.handle;
   mutable triggers : int;
@@ -17,15 +17,16 @@ type t = {
 }
 
 let fire t ~core =
-  Hashtbl.replace t.pending core ();
+  t.pending.(core) <- true;
   t.triggers <- t.triggers + 1;
   Counters.incr_h (Machine.counters t.machine) t.h_triggers;
-  Trace.emitf (Machine.trace t.machine) ~time:(Sim.now t.sim) ~core
-    ~category:Trace.Cat.probe_hw "irq scheduled in %dns"
-    t.config.Config.irq_latency;
+  (let trace = Machine.trace t.machine in
+   if Trace.enabled trace then
+     Trace.emitf trace ~time:(Sim.now t.sim) ~core ~category:Trace.Cat.probe_hw
+       "irq scheduled in %dns" t.config.Config.irq_latency);
   ignore
     (Sim.after t.sim t.config.Config.irq_latency (fun () ->
-         Hashtbl.remove t.pending core;
+         t.pending.(core) <- false;
          Vcpu_sched.on_probe_irq t.sched ~core))
 
 let install config machine table pipeline sched =
@@ -36,7 +37,7 @@ let install config machine table pipeline sched =
       sim = Machine.sim machine;
       table;
       sched;
-      pending = Hashtbl.create 16;
+      pending = Array.make (Machine.physical_cores machine) false;
       h_triggers = Counters.handle (Machine.counters machine) "probe.hw.triggers";
       h_suppressed =
         Counters.handle (Machine.counters machine) "probe.hw.suppressed";
@@ -53,7 +54,7 @@ let install config machine table pipeline sched =
            match State_table.get t.table ~core with
            | State_table.P_state -> ()
            | State_table.V_state ->
-               if Hashtbl.mem t.pending core then begin
+               if t.pending.(core) then begin
                  t.suppressed <- t.suppressed + 1;
                  Counters.incr_h (Machine.counters t.machine) t.h_suppressed
                end
@@ -76,7 +77,7 @@ let set_suppressor t f = t.suppressor <- f
    scheduler believes needs no eviction. The normal pending dedup still
    applies so at most one IRQ per core is in flight. *)
 let misfire t ~core =
-  if not (Hashtbl.mem t.pending core) then fire t ~core
+  if not t.pending.(core) then fire t ~core
 
 let triggers t = t.triggers
 let suppressed t = t.suppressed

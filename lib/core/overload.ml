@@ -41,7 +41,7 @@ type lane = {
   sketch : Quantile.t;
   mutable dp_cores : int list;  (* reverse registration order *)
   mutable kcpus : int list;
-  prev_dwell : (int, Time_ns.t) Hashtbl.t;  (* core -> last dp_running dwell *)
+  prev_dwell : Time_ns.t array;  (* by core: last dp_running dwell *)
   deferred : (cls * (unit -> unit)) Queue.t;
   mutable level : level;
   mutable entered : Time_ns.t;  (* when the current rung was entered *)
@@ -123,7 +123,7 @@ let lane_count t l c =
   Counters.incr_h t.ctr c.ch;
   if l.tagged then Counters.lane_incr c.cl l.tid
 
-let make_lane config ~tid ~tagged =
+let make_lane config ~cores ~tid ~tagged =
   (* The sketch window spans a handful of sampling periods, so the p99
      signal reflects the recent regime, not the whole run. *)
   let slice = Stdlib.max 1 config.Config.overload_period in
@@ -134,7 +134,7 @@ let make_lane config ~tid ~tagged =
     sketch = Quantile.create ~slices:8 ~slice ();
     dp_cores = [];
     kcpus = [];
-    prev_dwell = Hashtbl.create 8;
+    prev_dwell = Array.make cores Time_ns.zero;
     deferred = Queue.create ();
     level = Normal;
     entered = Time_ns.zero;
@@ -169,7 +169,8 @@ let create ?tenants config machine kernel recovery =
     cells = make_cells ctr;
     lanes =
       Array.init (Tenant.count table) (fun tid ->
-          make_lane config ~tid ~tagged);
+          make_lane config ~cores:(Machine.physical_cores machine) ~tid
+            ~tagged);
     started = false;
     engaged_lanes = 0;
     transition_cbs = [];
@@ -380,9 +381,7 @@ let next_down = function
 (* --- signals -------------------------------------------------------------- *)
 
 let dp_running_dwell t ~core =
-  match List.assoc_opt "dp_running" (Core_state.dwell t.cs ~core) with
-  | Some d -> d
-  | None -> Time_ns.zero
+  Core_state.dwell_in t.cs ~core Core_state.Dp_running
 
 (* Fraction of the last sampling period the lane's DP cores spent
    actually processing packets (dwell delta of the authoritative state
@@ -396,11 +395,8 @@ let sample_busy t l =
         List.fold_left
           (fun acc core ->
             let d = dp_running_dwell t ~core in
-            let prev =
-              Option.value ~default:Time_ns.zero
-                (Hashtbl.find_opt l.prev_dwell core)
-            in
-            Hashtbl.replace l.prev_dwell core d;
+            let prev = l.prev_dwell.(core) in
+            l.prev_dwell.(core) <- d;
             acc + Stdlib.max 0 (d - prev))
           0 cores
       in
@@ -475,7 +471,10 @@ let admit_lane t ~tenant =
     invalid_arg
       (Printf.sprintf "Overload.admit_lane: expected tenant %d, got %d"
          (Array.length t.lanes) tenant);
-  let l = make_lane t.config ~tid:tenant ~tagged:true in
+  let l =
+    make_lane t.config ~cores:(Machine.physical_cores t.machine) ~tid:tenant
+      ~tagged:true
+  in
   if t.started then l.entered <- Sim.now t.sim;
   t.lanes <- Array.append t.lanes [| l |]
 
@@ -510,9 +509,9 @@ let retire_lane t ~tenant =
 let move_dp_watch t ~core ~from_tenant ~to_tenant =
   let src = lane t from_tenant and dst = lane t to_tenant in
   src.dp_cores <- List.filter (fun c -> c <> core) src.dp_cores;
-  Hashtbl.remove src.prev_dwell core;
+  src.prev_dwell.(core) <- Time_ns.zero;
   dst.dp_cores <- core :: dst.dp_cores;
-  Hashtbl.replace dst.prev_dwell core (dp_running_dwell t ~core)
+  dst.prev_dwell.(core) <- dp_running_dwell t ~core
 
 let start t =
   if not t.started then begin
@@ -525,7 +524,7 @@ let start t =
            period, not the whole history before [start]. *)
         List.iter
           (fun core ->
-            Hashtbl.replace l.prev_dwell core (dp_running_dwell t ~core))
+            l.prev_dwell.(core) <- dp_running_dwell t ~core)
           l.dp_cores)
       t.lanes;
     tick t

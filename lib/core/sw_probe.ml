@@ -31,8 +31,11 @@ let note t ~core h event =
   match (t.machine, h) with
   | Some m, Some h ->
       Counters.incr_h (Machine.counters m) h;
-      Trace.emitf (Machine.trace m) ~time:(Sim.now (Machine.sim m)) ~core
-        ~category:Trace.Cat.probe_sw "%s threshold=%d" event t.thresholds.(core)
+      let trace = Machine.trace m in
+      if Trace.enabled trace then
+        Trace.emitf trace ~time:(Sim.now (Machine.sim m)) ~core
+          ~category:Trace.Cat.probe_sw "%s threshold=%d" event
+          t.thresholds.(core)
   | _ -> ()
 
 let on_sustained_idle t ~core =

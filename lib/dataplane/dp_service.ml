@@ -46,6 +46,10 @@ type t = {
   mutable poll_dwell : Time_ns.t;  (** cumulative empty-poll (Counting) time *)
   mutable park_dwell : Time_ns.t;  (** cumulative parked (Idle_parked) time *)
   mutable resuming : bool;
+  mutable bursts : int;
+  mutable spikes : int;
+  mutable yields : int;
+  mutable resumes : int;
   mutable latency_sink : (Time_ns.t -> unit) option;
   (* dp.* counter cells, interned at [create]: the global handle and the
      per-tenant mirror lane for the same name. [count] is two array
@@ -90,6 +94,8 @@ let charge t cls d =
 let count t c =
   Counters.incr_h (Machine.counters t.machine) c.ch;
   if t.tag_tenant then Counters.lane_incr c.cl t.owner
+
+let tracing t = Trace.enabled (Machine.trace t.machine)
 
 let emit t ~category message =
   Trace.emit (Machine.trace t.machine) ~time:(Sim.now t.sim) ~core:t.config.core
@@ -143,7 +149,8 @@ let rec enter_counting t ~cause =
            transition t ~cause:Core_state.Park Core_state.Dp_parked;
            t.park_since <- Sim.now t.sim;
            count t t.c_parks;
-           emit t ~category:Trace.Cat.dp_park (Printf.sprintf "n=%d" n);
+           if tracing t then
+             emit t ~category:Trace.Cat.dp_park (Printf.sprintf "n=%d" n);
            t.hooks.idle_detected t))
 
 and start_processing t ~cause ~discovery =
@@ -155,7 +162,7 @@ and process_loop t =
   let n = Ring.pop_burst_into t.ring t.burst_buf ~max:t.config.burst in
   if n = 0 then enter_counting t ~cause:Core_state.Drain
   else begin
-    Recorder.incr t.latency "bursts";
+    t.bursts <- t.bursts + 1;
     let work = ref 0 in
     for i = 0 to n - 1 do
       work := !work + t.config.per_packet t.burst_buf.(i)
@@ -178,8 +185,7 @@ and process_loop t =
              let lat = now - p.Packet.t_submit in
              Recorder.observe t.latency lat;
              (match t.latency_sink with Some f -> f lat | None -> ());
-             if lat > t.config.spike_threshold then
-               Recorder.incr t.latency "spikes"
+             if lat > t.config.spike_threshold then t.spikes <- t.spikes + 1
            done;
            t.hooks.on_packets_done t.burst_buf n;
            let arena = Pipeline.arena t.pipeline in
@@ -234,6 +240,10 @@ let create machine pipeline config =
       poll_dwell = 0;
       park_dwell = 0;
       resuming = false;
+      bursts = 0;
+      spikes = 0;
+      yields = 0;
+      resumes = 0;
       c_parks = cell "dp.parks";
       c_wakes = cell "dp.wakes";
       c_yields = cell "dp.yields";
@@ -300,7 +310,7 @@ let try_yield t =
          (the vCPU scheduler, or the kernel under co-schedule policies)
          performs the next transition. *)
       transition t ~cause:Core_state.Yield (Core_state.Switching Core_state.From_dp);
-      Recorder.incr t.latency "yields";
+      t.yields <- t.yields + 1;
       count t t.c_yields;
       emit t ~category:Trace.Cat.dp_yield "core given up";
       true
@@ -309,10 +319,11 @@ let try_yield t =
 let resume t ~switch_cost =
   if t.started && state t = Yielded && not t.resuming then begin
     t.resuming <- true;
-    Recorder.incr t.latency "resumes";
+    t.resumes <- t.resumes + 1;
     count t t.c_resumes;
-    emit t ~category:Trace.Cat.dp_resume
-      (Printf.sprintf "switch_cost=%d" switch_cost);
+    if tracing t then
+      emit t ~category:Trace.Cat.dp_resume
+        (Printf.sprintf "switch_cost=%d" switch_cost);
     (* The evictor (vCPU scheduler) may already have moved the core into
        [Switching To_dp] as part of the eviction; only transition here when
        the give-back originates elsewhere (kernel reclaim under
@@ -334,8 +345,10 @@ let resume t ~switch_cost =
 
 let latency t = t.latency
 let packets_processed t = Recorder.count t.latency
-let yields t = Recorder.counter t.latency "yields"
-let spikes t = Recorder.counter t.latency "spikes"
+let bursts t = t.bursts
+let yields t = t.yields
+let resumes t = t.resumes
+let spikes t = t.spikes
 let empty_poll_time t = t.poll_dwell
 let parked_time t = t.park_dwell
 

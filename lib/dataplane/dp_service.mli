@@ -124,12 +124,18 @@ val resume : t -> switch_cost:Time_ns.t -> unit
     [Yielded]. *)
 
 val latency : t -> Recorder.t
-(** Per-packet latency (submit to processing completion), with counters
-    ["spikes"], ["bursts"], ["yields"], ["resumes"]. *)
+(** Per-packet latency (submit to processing completion). *)
 
 val packets_processed : t -> int
+
+val bursts : t -> int
+(** Poll-loop bursts that found at least one packet. *)
+
 val yields : t -> int
+val resumes : t -> int
+
 val spikes : t -> int
+(** Packets whose latency exceeded [config.spike_threshold]. *)
 
 val empty_poll_time : t -> Time_ns.t
 (** Cumulative time spent empty-polling in [Counting]. Both this and

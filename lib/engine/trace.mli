@@ -2,8 +2,10 @@
     rendering.
 
     A trace is a bounded in-memory log of [(time, core, category, message)]
-    records. Disabled traces cost one branch per emission, so components can
-    trace unconditionally. Categories are stable strings (documented in
+    records. A disabled trace costs {!emit} one branch, but the caller has
+    already built its message, and {!emitf} still walks its format: every
+    per-event site therefore tests {!enabled} first, so an untraced run
+    formats nothing. Categories are stable strings (documented in
     DESIGN.md §Observability) so downstream consumers — {!records} readers,
     the metrics timeline fold and the JSON exporter — can rely on them. *)
 
@@ -102,7 +104,9 @@ val emitf :
   'a
 (** Formatted variant of {!emit}. When the trace is disabled the format
     arguments are discarded through a private null formatter — global
-    formatter state (e.g. [Format.str_formatter]) is never touched. *)
+    formatter state (e.g. [Format.str_formatter]) is never touched — but
+    the format is still walked, which is why hot callers guard with
+    {!enabled}. *)
 
 val records : t -> record list
 (** [records t] is the retained records in chronological order. *)

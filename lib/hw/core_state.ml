@@ -38,15 +38,31 @@ type event = {
 
 type mode = Strict | Permissive
 
+(* The per-state dwell labels, sorted by [String.compare]; [label_index]
+   maps a state onto its label's position. *)
+let labels =
+  [| "cp"; "dp_counting"; "dp_parked"; "dp_running"; "offline"; "switching";
+     "vcpu" |]
+
+let label_index = function
+  | Cp_dedicated -> 0
+  | Dp_counting -> 1
+  | Dp_parked -> 2
+  | Dp_running -> 3
+  | Offline -> 4
+  | Switching _ -> 5
+  | Vcpu_running _ -> 6
+
 exception Illegal_transition of string
 
 type t = {
   now : unit -> Time_ns.t;
   states : state array;
   since : Time_ns.t array;
-  (* Cumulative dwell per (core, state label); the open span of the current
-     state is added on read so [dwell] is always consistent with [now]. *)
-  dwell : (string, Time_ns.t) Hashtbl.t array;
+  (* Cumulative dwell per core, indexed by [label_index]; the open span of
+     the current state is added on read so [dwell] is always consistent
+     with [now]. *)
+  dwell : Time_ns.t array array;
   mutable mode : mode;
   mutable subscribers : (event -> unit) list;
   mutable invariants : (string * (unit -> string list)) list;
@@ -60,7 +76,7 @@ let create ~cores ~now =
     now;
     states = Array.make cores Offline;
     since = Array.make cores (now ());
-    dwell = Array.init cores (fun _ -> Hashtbl.create 8);
+    dwell = Array.init cores (fun _ -> Array.make (Array.length labels) 0);
     mode = Strict;
     subscribers = [];
     invariants = [];
@@ -84,14 +100,7 @@ let since t ~core =
   check_core t core;
   t.since.(core)
 
-let state_label = function
-  | Offline -> "offline"
-  | Dp_running -> "dp_running"
-  | Dp_counting -> "dp_counting"
-  | Dp_parked -> "dp_parked"
-  | Vcpu_running _ -> "vcpu"
-  | Switching _ -> "switching"
-  | Cp_dedicated -> "cp"
+let state_label st = labels.(label_index st)
 
 let trace_state = function
   | Dp_running | Dp_counting -> Trace.Cat.state_dp
@@ -145,12 +154,8 @@ let describe core from to_ cause =
     (state_label to_) (cause_label cause)
 
 let add_dwell t core st span =
-  if span > 0 then begin
-    let tbl = t.dwell.(core) in
-    let label = state_label st in
-    let prev = try Hashtbl.find tbl label with Not_found -> 0 in
-    Hashtbl.replace tbl label (prev + span)
-  end
+  let d = t.dwell.(core) and i = label_index st in
+  d.(i) <- d.(i) + span
 
 let transition t ~core ~cause to_ =
   check_core t core;
@@ -174,17 +179,24 @@ let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 let transitions t = t.transitions
 let illegal_transitions t = t.illegal
 
+let dwell_in t ~core st =
+  check_core t core;
+  let i = label_index st in
+  let closed = t.dwell.(core).(i) in
+  (* Fold the still-open span of the current state in. *)
+  if label_index t.states.(core) = i then closed + (t.now () - t.since.(core))
+  else closed
+
+(* [labels] is in label order, so the list comes out sorted; labels never
+   occupied are left out. *)
 let dwell t ~core =
   check_core t core;
-  let tbl = Hashtbl.copy t.dwell.(core) in
-  (* Fold the still-open span of the current state in. *)
-  let label = state_label t.states.(core) in
-  let open_span = t.now () - t.since.(core) in
-  if open_span > 0 then
-    Hashtbl.replace tbl label
-      ((try Hashtbl.find tbl label with Not_found -> 0) + open_span);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let d = Array.copy t.dwell.(core) in
+  let cur = label_index t.states.(core) in
+  d.(cur) <- d.(cur) + (t.now () - t.since.(core));
+  List.filter
+    (fun (_, v) -> v > 0)
+    (List.init (Array.length labels) (fun i -> (labels.(i), d.(i))))
 
 let add_invariant t ~name f = t.invariants <- t.invariants @ [ (name, f) ]
 

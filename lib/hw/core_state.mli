@@ -114,7 +114,13 @@ val illegal_transitions : t -> int
 
 val dwell : t -> core:int -> (string * Time_ns.t) list
 (** [dwell t ~core] is cumulative time spent per state label (sorted by
-    label), including the still-open span of the current state. *)
+    label), including the still-open span of the current state. Labels
+    with no time are left out. *)
+
+val dwell_in : t -> core:int -> state -> Time_ns.t
+(** [dwell_in t ~core st] is the one cell of {!dwell} for [st]'s label
+    (0 when absent), read without building the list: the per-sample
+    reader. *)
 
 val state_label : state -> string
 (** Stable per-state label used by {!dwell}: ["offline"], ["dp_running"],

@@ -20,10 +20,6 @@ let default_config =
     boot_vector = 0xF0;
   }
 
-(* Idle CPUs re-attempt work stealing at this period, modeling the
-   scheduler's idle load balancing. *)
-let idle_rebalance_period = Time_ns.us 50
-
 type cpu = {
   cid : int;
   kind : [ `Physical | `Virtual ];
@@ -45,7 +41,6 @@ type cpu = {
   mutable reclaimers : (unit -> unit) list;
   mutable reclaim_requested_at : Time_ns.t;
   mutable on_online : (unit -> unit) option;
-  mutable idle_retry : Sim.handle option;
   lapic : Lapic.t;
 }
 
@@ -64,7 +59,7 @@ type t = {
   sim : Sim.t;
   machine : Machine.t;
   config : config;
-  cpus : (int, cpu) Hashtbl.t;
+  mutable cpus : cpu option array;  (* by cpu id; ids may be sparse *)
   (* Remaining work of a preempted/paused Run, keyed by tid. Per kernel
      instance: two systems (or two domains) must never share run
      bookkeeping. *)
@@ -97,7 +92,7 @@ let create ?(config = default_config) machine =
     sim = Machine.sim machine;
     machine;
     config;
-    cpus = Hashtbl.create 32;
+    cpus = [||];
     pending = Hashtbl.create 64;
     cpu_order = [];
     work_available_hook = (fun _ -> ());
@@ -122,7 +117,10 @@ let create ?(config = default_config) machine =
 let sim t = t.sim
 let machine t = t.machine
 let config t = t.config
-let cpu t id = Hashtbl.find t.cpus id
+let cpu t id =
+  if id < 0 || id >= Array.length t.cpus then raise Not_found;
+  match t.cpus.(id) with Some c -> c | None -> raise Not_found
+
 let cpu_id c = c.cid
 let cpu_ids t = t.cpu_order
 let cpu_kind c = c.kind
@@ -153,6 +151,7 @@ let max_deferred_wait t = t.s_max_deferred_wait
 (* --- observability ------------------------------------------------------ *)
 
 let trace t = Machine.trace t.machine
+let tracing t = Trace.enabled (trace t)
 let count t h = Counters.incr_h (Machine.counters t.machine) h
 
 (* For trace attribution a kernel CPU maps to the physical core currently
@@ -206,20 +205,11 @@ let pause_run t c =
 
 let rec dispatch t c =
   if c.online && c.backed && c.available && c.cur = None then begin
-    (match c.idle_retry with Some h -> Sim.cancel t.sim h | None -> ());
-    c.idle_retry <- None;
     match pick_next t c with
     | None ->
-        (* Idle balancing: retry periodically so work queued on frozen
-           vCPUs or unavailable cores is eventually pulled here — but only
-           while such work exists, or the retry would keep the event queue
-           alive forever. *)
-        if steal_candidate_exists t c then
-          c.idle_retry <-
-            Some
-              (Sim.after t.sim idle_rebalance_period (fun () ->
-                   c.idle_retry <- None;
-                   dispatch t c));
+        (* [pick_next] already tried to steal, so no other CPU holds a
+           task admissible here: the CPU idles until a wakeup, placement
+           or resched IPI dispatches it again. *)
         t.cpu_idle_hook c.cid
     | Some task ->
         t.s_context_switches <- t.s_context_switches + 1;
@@ -249,19 +239,6 @@ and pick_next t c =
       | Some task -> Some task
       | None -> try_steal t c)
 
-and steal_candidate_exists t c =
-  let admissible task =
-    task.Task.affinity = [] || List.mem c.cid task.Task.affinity
-  in
-  List.exists
-    (fun id ->
-      id <> c.cid
-      &&
-      let c' = Hashtbl.find t.cpus id in
-      Queue.fold (fun acc x -> acc || admissible x) false c'.rq_rt
-      || Queue.fold (fun acc x -> acc || admissible x) false c'.rq_normal)
-    t.cpu_order
-
 and try_steal t c =
   let admissible task =
     task.Task.affinity = [] || List.mem c.cid task.Task.affinity
@@ -270,7 +247,7 @@ and try_steal t c =
   List.iter
     (fun id ->
       if id <> c.cid then begin
-        let c' = Hashtbl.find t.cpus id in
+        let c' = cpu t id in
         let n = runqueue_length c' in
         let has_admissible =
           Queue.fold (fun acc x -> acc || admissible x) false c'.rq_rt
@@ -306,9 +283,10 @@ and try_steal t c =
       | Some task ->
           t.s_steals <- t.s_steals + 1;
           count t t.h_steals;
-          Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
-            ~category:Trace.Cat.kernel_steal "cpu=%d task=%s from=%d" c.cid
-            task.Task.tname victim.cid;
+          if tracing t then
+            Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
+              ~category:Trace.Cat.kernel_steal "cpu=%d task=%s from=%d" c.cid
+              task.Task.tname victim.cid;
           task.Task.cpu <- Some c.cid
       | None -> ());
       found
@@ -492,8 +470,10 @@ and after_np_boundary t c task guard =
 and migrate_out t c task =
   t.s_migrations <- t.s_migrations + 1;
   count t t.h_migrations;
-  Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
-    ~category:Trace.Cat.kernel_migrate "cpu=%d task=%s" c.cid task.Task.tname;
+  if tracing t then
+    Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
+      ~category:Trace.Cat.kernel_migrate "cpu=%d task=%s" c.cid
+      task.Task.tname;
   pause_run t c;
   task.Task.state <- Task.Runnable;
   task.Task.cpu <- None;
@@ -526,8 +506,9 @@ and grant_reclaims t c =
   let waited = Sim.now t.sim - c.reclaim_requested_at in
   if waited > t.s_max_deferred_wait then t.s_max_deferred_wait <- waited;
   count t t.h_reclaims;
-  Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
-    ~category:Trace.Cat.kernel_reclaim "cpu=%d waited=%d" c.cid waited;
+  if tracing t then
+    Trace.emitf (trace t) ~time:(Sim.now t.sim) ~core:(trace_core c)
+      ~category:Trace.Cat.kernel_reclaim "cpu=%d waited=%d" c.cid waited;
   List.iter (fun cb -> cb ()) cbs
 
 and grant_lock t lock w =
@@ -537,7 +518,7 @@ and grant_lock t lock w =
   lock.Task.acquisitions <- lock.Task.acquisitions + 1;
   (match w.Task.cpu with
   | Some cid -> (
-      let wc = Hashtbl.find t.cpus cid in
+      let wc = cpu t cid in
       match wc.cur with
       | Some cur when cur == w ->
           stop_spin_accounting t wc;
@@ -568,7 +549,7 @@ and place_task t ?src task =
   let candidates =
     List.filter_map
       (fun id ->
-        let c = Hashtbl.find t.cpus id in
+        let c = cpu t id in
         if allowed c then Some c else None)
       t.cpu_order
   in
@@ -634,7 +615,12 @@ let register_cpu t c =
                (match c.on_online with Some f -> f () | None -> ());
                c.on_online <- None;
                dispatch t c)));
-  Hashtbl.replace t.cpus c.cid c;
+  if c.cid >= Array.length t.cpus then begin
+    let a = Array.make (max (c.cid + 1) (2 * Array.length t.cpus)) None in
+    Array.blit t.cpus 0 a 0 (Array.length t.cpus);
+    t.cpus <- a
+  end;
+  t.cpus.(c.cid) <- Some c;
   t.cpu_order <- t.cpu_order @ [ c.cid ]
 
 let make_cpu ~id ~kind ~online ~backed ~available ~backing_core =
@@ -657,7 +643,6 @@ let make_cpu ~id ~kind ~online ~backed ~available ~backing_core =
     reclaimers = [];
     reclaim_requested_at = 0;
     on_online = None;
-    idle_retry = None;
     lapic = Lapic.create ~apic_id:id;
   }
 

@@ -216,6 +216,26 @@ let test_arena_roundtrip_no_alloc () =
          Packet.free arena
            (Packet.alloc arena ~kind:Packet.Net_rx ~size:64 ~dst_core:0 ~tag:i)))
 
+(* The steady-state packet path: alloc, submit, delivery into the ring
+   through the pipeline's drain timer, pop and free. Once the event pool,
+   the delivery FIFO and the per-core in-flight counts have grown, the
+   cycle allocates nothing. *)
+let test_pipeline_cycle_no_alloc () =
+  let sim = Sim.create () in
+  let p = Pipeline.create sim in
+  let ring = Ring.create ~capacity:64 ~name:"cycle" () in
+  Pipeline.attach_ring p ~core:0 ring;
+  let arena = Pipeline.arena p in
+  let buf = Array.make 1 Packet.dummy in
+  Test_engine.check_alloc_free "Pipeline submit -> delivery -> free"
+    (Test_engine.minor_words_per_op (fun i ->
+         Pipeline.submit p
+           (Packet.alloc arena ~kind:Packet.Net_rx ~size:64 ~dst_core:0 ~tag:i);
+         Sim.run sim;
+         for j = 0 to Ring.pop_burst_into ring buf ~max:1 - 1 do
+           Packet.free arena buf.(j)
+         done))
+
 let suite =
   [
     ("ring FIFO", `Quick, test_ring_fifo);
@@ -233,5 +253,8 @@ let suite =
     ( "packet arena alloc/free allocates nothing",
       `Quick,
       test_arena_roundtrip_no_alloc );
+    ( "pipeline packet cycle allocates nothing",
+      `Quick,
+      test_pipeline_cycle_no_alloc );
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
   ]

@@ -146,6 +146,55 @@ let test_dwell_accounting () =
   checki "running dwell" 15 (get_d "dp_running");
   checki "offline dwell" 0 (get_d "offline")
 
+(* Random walks over the legality matrix with random time steps on three
+   cores. [dwell] and [dwell_in] must equal a reference built from the
+   subscriber's event stream alone — each event closes the span its core
+   spent in [from_state] since that core's previous event — plus the
+   still-open span of each core's current state. *)
+let prop_dwell_matches_events =
+  let cores = 3 in
+  QCheck.Test.make ~name:"dwell matches the event stream" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 60)
+           (triple (int_bound (cores - 1)) small_nat (int_bound 500)))
+        (int_bound 500))
+    (fun (steps, tail) ->
+      let clock, t = make ~cores () in
+      let closed = Hashtbl.create 16 in
+      let last = Array.make cores 0 in
+      subscribe t (fun ev ->
+          let key = (ev.core, state_label ev.from_state) in
+          let prev = Option.value ~default:0 (Hashtbl.find_opt closed key) in
+          Hashtbl.replace closed key (prev + (ev.at - last.(ev.core)));
+          last.(ev.core) <- ev.at);
+      List.iter
+        (fun (core, pick, dt) ->
+          clock := !clock + dt;
+          let from = get t ~core in
+          let targets = List.filter (fun to_ -> legal ~from ~to_) all_states in
+          transition t ~core ~cause:Hotplug
+            (List.nth targets (pick mod List.length targets)))
+        steps;
+      clock := !clock + tail;
+      List.for_all
+        (fun core ->
+          let current = state_label (get t ~core) in
+          let reference label =
+            Option.value ~default:0 (Hashtbl.find_opt closed (core, label))
+            + if label = current then !clock - last.(core) else 0
+          in
+          let expected =
+            List.sort_uniq compare (List.map state_label all_states)
+            |> List.map (fun label -> (label, reference label))
+            |> List.filter (fun (_, d) -> d > 0)
+          in
+          dwell t ~core = expected
+          && List.for_all
+               (fun st -> dwell_in t ~core st = reference (state_label st))
+               all_states)
+        (List.init cores Fun.id))
+
 (* A busy scenario on a real system: background data-plane traffic plus
    control-plane churn heavy enough that Tai Chi places vCPUs on data-plane
    cores, rescues lock holders and borrows CP pCPUs. Ends with the
@@ -183,6 +232,7 @@ let suite =
     ("permissive mode counts illegal", `Quick, test_permissive_counts);
     ("subscriber ordering deterministic", `Quick, test_subscriber_ordering);
     ("dwell accounting", `Quick, test_dwell_accounting);
+    QCheck_alcotest.to_alcotest prop_dwell_matches_events;
     ("soak: taichi audits clean", `Slow, test_soak_taichi);
     ("soak: co-schedule audits clean", `Slow, test_soak_coschedule);
   ]

@@ -45,7 +45,7 @@ let test_burst_batching () =
   done;
   Sim.run ~until:(Time_ns.ms 2) sim;
   checki "all processed" 40 (Dp_service.packets_processed dp);
-  let bursts = Taichi_metrics.Recorder.counter (Dp_service.latency dp) "bursts" in
+  let bursts = Dp_service.bursts dp in
   checkb "batched into >=2 bursts (32 cap)" true (bursts >= 2 && bursts <= 5)
 
 let test_idle_detection_timing () =
@@ -89,7 +89,8 @@ let test_yield_resume_cycle () =
   checki "not processed while yielded" 0 (Dp_service.packets_processed dp);
   Dp_service.resume dp ~switch_cost:(Time_ns.us 2);
   Sim.run ~until:(Time_ns.ms 1) sim;
-  checki "processed after resume" 1 (Dp_service.packets_processed dp)
+  checki "processed after resume" 1 (Dp_service.packets_processed dp);
+  checki "one resume" 1 (Dp_service.resumes dp)
 
 let test_try_yield_refused_with_pending () =
   let sim, _, pipeline, dp = make_system () in
