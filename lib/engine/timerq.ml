@@ -294,26 +294,36 @@ let drain_bucket t dst =
 
 (* --- tombstone compaction ------------------------------------------------ *)
 
-let compact t ~keep =
-  for s = 0 to n_buckets - 1 do
-    let len = t.blen.(s) in
-    if len > 0 then begin
-      let buf = t.bufs.(s) in
-      let j = ref 0 in
-      for i = 0 to len - 1 do
-        if keep buf.((2 * i) + 1) then begin
-          buf.(2 * !j) <- buf.(2 * i);
-          buf.((2 * !j) + 1) <- buf.((2 * i) + 1);
-          incr j
-        end
-      done;
-      t.wheel_count <- t.wheel_count - (len - !j);
-      t.blen.(s) <- !j;
-      if !j = 0 then mark_empty t s;
-      (* Floyd heapify restores the per-bucket invariant in O(len). *)
-      for i = (!j / 2) - 1 downto 0 do
-        bucket_sift_down buf !j i
-      done
+let compact_bucket t ~keep s =
+  let len = t.blen.(s) in
+  let buf = t.bufs.(s) in
+  let j = ref 0 in
+  for i = 0 to len - 1 do
+    if keep buf.((2 * i) + 1) then begin
+      buf.(2 * !j) <- buf.(2 * i);
+      buf.((2 * !j) + 1) <- buf.((2 * i) + 1);
+      incr j
     end
+  done;
+  t.wheel_count <- t.wheel_count - (len - !j);
+  t.blen.(s) <- !j;
+  if !j = 0 then mark_empty t s;
+  (* Floyd heapify restores the per-bucket invariant in O(len). *)
+  for i = (!j / 2) - 1 downto 0 do
+    bucket_sift_down buf !j i
+  done
+
+(* Only occupied buckets are visited, found through the [l0] words in
+   ascending ring order — the order [keep] sees (and frees) slots in
+   matches a full scan, so the cost scales with occupancy, not with the
+   65,536-bucket ring. Each word is read before its buckets are
+   compacted, since emptying one clears its bit. *)
+let compact t ~keep =
+  for w = 0 to l0_words - 1 do
+    let m = ref t.l0.(w) in
+    while !m <> 0 do
+      compact_bucket t ~keep ((w lsl word_bits) + ctz !m);
+      m := !m land (!m - 1)
+    done
   done;
   Pheap.compact t.overflow ~keep
