@@ -4,7 +4,6 @@ type t = {
   name : string;
   hist : Histogram.t;
   stats : Stats.t;
-  counters : (string, int ref) Hashtbl.t;
 }
 
 let create name =
@@ -12,7 +11,6 @@ let create name =
     name;
     hist = Histogram.create ();
     stats = Stats.create ();
-    counters = Hashtbl.create 8;
   }
 
 let name r = r.name
@@ -20,18 +18,6 @@ let name r = r.name
 let observe r v =
   Histogram.add r.hist v;
   Stats.add_int r.stats v
-
-let incr r ?(by = 1) key =
-  match Hashtbl.find_opt r.counters key with
-  | Some cell -> cell := !cell + by
-  | None -> Hashtbl.replace r.counters key (ref by)
-
-let counter r key =
-  match Hashtbl.find_opt r.counters key with Some c -> !c | None -> 0
-
-let counters r =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) r.counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let count r = Histogram.count r.hist
 let mean r = Stats.mean r.stats
@@ -43,8 +29,7 @@ let histogram r = r.hist
 
 let clear r =
   Histogram.clear r.hist;
-  Stats.clear r.stats;
-  Hashtbl.reset r.counters
+  Stats.clear r.stats
 
 let throughput_per_sec r ~duration =
   if duration <= 0 then 0.0

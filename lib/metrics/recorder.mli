@@ -1,8 +1,8 @@
 (** Named measurement recorders.
 
-    A recorder bundles a latency histogram with streaming statistics and a
-    few counters under a name, giving experiments one object to thread
-    through the system per metric (e.g. "ping.rtt", "fio.read"). *)
+    A recorder bundles a latency histogram with streaming statistics under
+    a name, giving experiments one object to thread through the system per
+    metric (e.g. "ping.rtt", "fio.read"). *)
 
 open Taichi_engine
 
@@ -13,15 +13,6 @@ val name : t -> string
 
 val observe : t -> Time_ns.t -> unit
 (** [observe r v] records one latency (or any integral) sample. *)
-
-val incr : t -> ?by:int -> string -> unit
-(** [incr r ~by key] bumps the named counter. *)
-
-val counter : t -> string -> int
-(** [counter r key] is the counter value, 0 if never incremented. *)
-
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
 
 val count : t -> int
 (** Number of {!observe}d samples. *)

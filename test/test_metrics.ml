@@ -15,18 +15,6 @@ let test_recorder_observe () =
   Alcotest.(check (float 1e-9)) "mean" 20.0 (Recorder.mean r);
   checki "p50" 20 (Recorder.percentile r 50.0)
 
-let test_recorder_counters () =
-  let r = Recorder.create "c" in
-  Recorder.incr r "spikes";
-  Recorder.incr r ~by:4 "spikes";
-  Recorder.incr r "yields";
-  checki "spikes" 5 (Recorder.counter r "spikes");
-  checki "missing" 0 (Recorder.counter r "nope");
-  Alcotest.(check (list (pair string int)))
-    "sorted counters"
-    [ ("spikes", 5); ("yields", 1) ]
-    (Recorder.counters r)
-
 let test_recorder_throughput () =
   let r = Recorder.create "t" in
   for _ = 1 to 500 do
@@ -38,13 +26,11 @@ let test_recorder_throughput () =
 let test_recorder_clear () =
   let r = Recorder.create "x" in
   Recorder.observe r 5;
-  Recorder.incr r "k";
   Recorder.clear r;
-  checki "count reset" 0 (Recorder.count r);
-  checki "counter reset" 0 (Recorder.counter r "k")
+  checki "count reset" 0 (Recorder.count r)
 
-(* Regression: [clear] used to reset the histogram and counters but not the
-   Welford summary, so post-clear means and stddevs still blended in every
+(* Regression: [clear] used to reset the histogram but not the Welford
+   summary, so post-clear means and stddevs still blended in every
    pre-clear sample. *)
 let test_recorder_clear_then_observe () =
   let r = Recorder.create "w" in
@@ -345,7 +331,6 @@ let prop_timeline_partitions =
 let suite =
   [
     ("recorder observe", `Quick, test_recorder_observe);
-    ("recorder counters", `Quick, test_recorder_counters);
     ("recorder throughput", `Quick, test_recorder_throughput);
     ("recorder clear", `Quick, test_recorder_clear);
     ("recorder clear then observe", `Quick, test_recorder_clear_then_observe);
