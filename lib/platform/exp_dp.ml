@@ -234,8 +234,8 @@ let fig14_runs = [ "udp_stream"; "tcp_stream"; "tcp_rr"; "sock_tcp"; "sock_udp" 
 
 let fig14_dur = Time_ns.ms 500
 
-let fig14_case ctx ~seed policy case =
-  let dur = fig14_dur in
+let fig14_case ctx ~seed ~scale policy case =
+  let dur = scaled scale fig14_dur in
   let run f =
     with_system ~ctx ~seed policy (fun sys ->
         let sim = System.sim sys in
@@ -328,11 +328,11 @@ let fig14 =
       "Normalized netperf/sockperf performance under Tai Chi vs the static \
        baseline, six microbenchmark cases"
     ~cells:(List.map fst fig14_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
+    ~run_cell:(fun ctx ~seed ~scale cell ->
       let case, policy =
         param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) fig14_grid) cell
       in
-      fig14_case ctx ~seed policy case)
+      fig14_case ctx ~seed ~scale policy case)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let vals tag =
         List.concat_map
