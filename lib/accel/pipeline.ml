@@ -26,7 +26,10 @@ type t = {
   arena : Packet.arena;
       (* descriptor pool for everything submitted through this pipeline;
          the service frees after [on_packets_done], the drop and
-         discard paths free inline *)
+         discard paths free inline. It starts at 64 records and
+         doubles on demand: experiments need anywhere from under 64 to
+         16,384 slots of ~14 words each, and a system should not pay
+         for the largest up front *)
   (* by destination core, grown on demand *)
   mutable rings : Ring.t option array;
   mutable in_flight : int array;  (* submitted, not yet delivered *)
@@ -146,7 +149,7 @@ let create ?(config = default_config) sim =
     {
       sim;
       config;
-      arena = Packet.arena ~capacity:4096 ();
+      arena = Packet.arena ~capacity:64 ();
       rings = [||];
       in_flight = [||];
       probe_hook = None;

@@ -14,6 +14,13 @@
    [buf.(2j), buf.(2j+1)]): a sift touches half the cache lines the
    parallel-arrays layout would.
 
+   Footprint: a fresh queue holds only the ring's spine ([bufs], [blen]:
+   4,096 words each) and the bitmap. A bucket's buffer is allocated the
+   first time an entry lands in it (16 ints: 8 entries) and is kept for
+   reuse, so the buffers grow bucket by bucket as the clock sweeps the
+   ring: 4,096 x 17 words once every bucket has been used, more only
+   where a bucket ever held more than 8 entries.
+
    Determinism contract: entries dequeue in strict (time, seq) order,
    identical to a global (key, seq) binary heap. The wheel cannot
    reorder: bucket index is a pure function of time, the packed key
@@ -26,17 +33,28 @@
    {!advance} (the owner calls it whenever its clock moves); pushes are
    always at or after the clock, so they can never land behind [base]. *)
 
-let slot_bits = 5 (* bucket width: 32 ns *)
-let wheel_bits = 16 (* 65536 buckets; horizon = 65536 * 32 ns ~ 2.1 ms *)
+(* DESIGN §12 records the bucket occupancy, overflow share and geometry
+   sweep behind these two constants. *)
+let slot_bits = 9 (* bucket width: 512 ns *)
+let wheel_bits = 12 (* 4096 buckets; horizon = 4096 * 512 ns ~ 2.1 ms *)
 let n_buckets = 1 lsl wheel_bits
 let bucket_mask = n_buckets - 1
 let seq_bits = 53
 let seq_mask = (1 lsl seq_bits) - 1
 
+(* The packed in-bucket key [(offset lsl seq_bits) lor seq] orders
+   correctly only while it stays a non-negative native int: offset <
+   2^slot_bits and seq < 2^seq_bits must fit in Sys.int_size - 1 (62)
+   bits. At 512 ns that holds with no spare bit; a wider bucket would
+   wrap keys negative and silently reorder events, so refuse to load. *)
+let () =
+  if slot_bits + seq_bits > Sys.int_size - 1 then
+    failwith "Timerq: slot_bits + seq_bits exceed the native int's value bits"
+
 (* Occupancy bitmap: 32 buckets per l0 word, 32 l0 words per l1 bit, so
    finding the next nonempty bucket is a couple of word reads instead of
-   a linear [blen] scan — what keeps fine-grained buckets affordable
-   when events are sparse (a 1 ms gap is ~31k buckets at 32 ns each). *)
+   a linear [blen] scan — what keeps the scan cheap when events are
+   sparse (a 1 ms gap is ~2k buckets at 512 ns each). *)
 let word_bits = 5 (* 32 bucket bits per l0 word *)
 let word_mask = (1 lsl word_bits) - 1
 let l0_words = n_buckets lsr word_bits
@@ -316,7 +334,7 @@ let compact_bucket t ~keep s =
 (* Only occupied buckets are visited, found through the [l0] words in
    ascending ring order — the order [keep] sees (and frees) slots in
    matches a full scan, so the cost scales with occupancy, not with the
-   65,536-bucket ring. Each word is read before its buckets are
+   4,096-bucket ring. Each word is read before its buckets are
    compacted, since emptying one clears its bit. *)
 let compact t ~keep =
   for w = 0 to l0_words - 1 do

@@ -1,6 +1,8 @@
 (** Calendar timer queue: a 4096-bucket, 512 ns-wide timing wheel with
     the binary heap ({!Pheap}) as an overflow tier for timers beyond the
-    ~2.1 ms horizon.
+    ~2.1 ms horizon. A bucket's buffer is allocated when the bucket is
+    first used and kept for reuse, so a fresh queue is ~8k words and a
+    fully used one ~78k.
 
     Payloads are bare ints (the {!Sim} event pool's slot indices); keys
     are (time, seq) pairs and entries dequeue in strict lexicographic
@@ -16,6 +18,14 @@
     earlier than the last advanced time. *)
 
 type t
+
+val slot_bits : int
+(** Buckets are [2^slot_bits] ns wide (9: 512 ns). *)
+
+val wheel_bits : int
+(** The ring holds [2^wheel_bits] buckets (12: 4,096). A push at or
+    past [2^(slot_bits + wheel_bits)] ns after the start of the clock's
+    bucket goes to the overflow heap. *)
 
 val create : unit -> t
 

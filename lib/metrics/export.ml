@@ -278,16 +278,21 @@ let validate_json j =
                 in
                 if cat = "churn" then
                   (* Record retirement markers: from here on the tenant's
-                     lanes are frozen. Other churn payloads pass through. *)
-                  let retired =
+                     lanes are frozen. A marker that does not parse would
+                     leave its tenant's lanes unchecked, so it fails
+                     validation; other churn payloads pass through. *)
+                  let* retired =
                     match
                       Option.bind (Json.member "msg" ev) Json.to_str
                     with
-                    | Some msg -> (
+                    | Some msg when has_prefix "retired " msg -> (
                         match parse_retired msg with
-                        | Some tid -> tid :: retired
-                        | None -> retired)
-                    | None -> retired
+                        | Some tid -> Ok (tid :: retired)
+                        | None ->
+                            Error
+                              (Printf.sprintf "malformed retirement marker %S"
+                                 msg))
+                    | Some _ | None -> Ok retired
                   in
                   Ok (t, chains, retired, fleet_seen)
                 else if cat = "fleet" then

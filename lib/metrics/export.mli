@@ -58,7 +58,10 @@ val validate_json : Json.t -> (unit, string) result
     previous one entered (starting from [normal]), rungs move one at a
     time, and every dwell meets the advertised minimum — checked per
     lane, with [tenant=<id>]-prefixed transitions forming one chain per
-    tenant. Per-tenant counter sections ([tenant.<id>.<suffix>]) must be
+    tenant. A tenant's lanes freeze at its [retired tenant=<id>
+    forced=<b>] marker: a later transition on them is an error, and so
+    is a [churn] payload that starts with [retired ] but does not parse.
+    Per-tenant counter sections ([tenant.<id>.<suffix>]) must be
     non-negative, name a tenant id from the run's [tenants] field, and
     sum — per suffix, across tenants — to exactly the global [<suffix>]
     counter. *)

@@ -120,57 +120,77 @@ let test_cost_model_defaults () =
 
 (* --- packet arena ---------------------------------------------------------- *)
 
-(* Random alloc/free/scan programs against a small fixed arena. Tags are
+(* Random alloc/free/scan programs against a packet arena. Tags are
    drawn from a fresh counter, so two live records aliasing the same slot
    would show as a tag mismatch; generations must stay frozen while a
-   record is live and bump exactly once per free; and exhaustion of a
-   fixed arena must raise {!Packet.Exhausted} precisely when every slot
-   is live. *)
+   record is live and bump exactly once per free; [live_packets] must
+   count the live records after every step. A [fixed] arena must raise
+   {!Packet.Exhausted} precisely when every slot is live; a growable one
+   must double instead, carrying every live record through the doubling
+   with its tag, generation and liveness intact. *)
+let run_arena_program ~fixed ~capacity ops =
+  let arena = Packet.arena ~fixed ~capacity () in
+  let live = ref [] in
+  let next_tag = ref 0 in
+  let intact (p, tag, gen) =
+    p.Packet.tag = tag
+    && Packet.is_live arena (Packet.index p)
+    && Packet.generation arena (Packet.index p) = gen
+  in
+  let step (op, a) =
+    match op with
+    | 0 -> (
+        incr next_tag;
+        let tag = !next_tag in
+        let before = Packet.arena_capacity arena in
+        match
+          Packet.alloc arena ~kind:Packet.Net_rx
+            ~size:(64 + (a mod 100))
+            ~dst_core:(a mod 4) ~tag
+        with
+        | p ->
+            let n = List.length !live in
+            live := (p, tag, Packet.generation arena (Packet.index p)) :: !live;
+            let after = Packet.arena_capacity arena in
+            if after = before then n < before
+            else
+              (not fixed) && n = before && after = 2 * before
+              && List.for_all intact !live
+        | exception Packet.Exhausted -> fixed && List.length !live = capacity)
+    | 1 -> (
+        match !live with
+        | [] -> true
+        | l ->
+            let i = a mod List.length l in
+            let ((p, _, gen) as entry) = List.nth l i in
+            let ok = intact entry in
+            Packet.free arena p;
+            live := List.filteri (fun j _ -> j <> i) l;
+            ok
+            && (not (Packet.is_live arena (Packet.index p)))
+            && Packet.generation arena (Packet.index p) = gen + 1)
+    | _ -> List.for_all intact !live
+  in
+  List.for_all
+    (fun op -> step op && Packet.live_packets arena = List.length !live)
+    ops
+  && List.for_all intact !live
+
+let arena_programs =
+  QCheck.(list_of_size (Gen.int_range 0 120) (pair (int_bound 2) small_int))
+
 let prop_arena_roundtrip =
   QCheck.Test.make ~name:"packet arena alloc/free round-trip" ~count:300
-    QCheck.(
-      list_of_size (Gen.int_range 0 120) (pair (int_bound 2) small_int))
-    (fun ops ->
-      let capacity = 8 in
-      let arena = Packet.arena ~fixed:true ~capacity () in
-      let live = ref [] in
-      let next_tag = ref 0 in
-      let intact (p, tag, gen) =
-        p.Packet.tag = tag
-        && Packet.is_live arena (Packet.index p)
-        && Packet.generation arena (Packet.index p) = gen
-      in
-      let step (op, a) =
-        match op with
-        | 0 -> (
-            incr next_tag;
-            let tag = !next_tag in
-            match
-              Packet.alloc arena ~kind:Packet.Net_rx
-                ~size:(64 + (a mod 100))
-                ~dst_core:(a mod 4) ~tag
-            with
-            | p ->
-                live := (p, tag, Packet.generation arena (Packet.index p)) :: !live;
-                List.length !live <= capacity
-            | exception Packet.Exhausted -> List.length !live = capacity)
-        | 1 -> (
-            match !live with
-            | [] -> true
-            | l ->
-                let i = a mod List.length l in
-                let ((p, _, gen) as entry) = List.nth l i in
-                let ok = intact entry in
-                Packet.free arena p;
-                live := List.filteri (fun j _ -> j <> i) l;
-                ok
-                && (not (Packet.is_live arena (Packet.index p)))
-                && Packet.generation arena (Packet.index p) = gen + 1)
-        | _ -> List.for_all intact !live
-      in
-      List.for_all step ops
-      && List.for_all intact !live
-      && Packet.live_packets arena = List.length !live)
+    arena_programs
+    (run_arena_program ~fixed:true ~capacity:8)
+
+(* The same programs from capacity 1, so the arena doubles (up to 128
+   slots) while records are live — as the pipeline's arena does from its
+   64-slot start. *)
+let prop_arena_growth =
+  QCheck.Test.make ~name:"growable packet arena keeps live records" ~count:300
+    arena_programs
+    (run_arena_program ~fixed:false ~capacity:1)
 
 let test_arena_misuse () =
   let arena = Packet.arena ~capacity:2 () in
@@ -257,4 +277,5 @@ let suite =
       `Quick,
       test_pipeline_cycle_no_alloc );
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
+    QCheck_alcotest.to_alcotest prop_arena_growth;
   ]

@@ -105,6 +105,200 @@ let prop_heap_compact_live_set =
       | popped -> popped = expected
       | exception Exit -> false)
 
+(* --- Timerq ----------------------------------------------------------------- *)
+
+(* The wheel's own contract, driven directly: [Sim] never issues
+   sequence numbers near 2^53, so the engine-level properties cannot
+   reach the top of the packed in-bucket key. Popping follows the owner
+   protocol — advance the clock to each popped time. *)
+let bucket_ns = 1 lsl Timerq.slot_bits
+let n_buckets = 1 lsl Timerq.wheel_bits
+let horizon_ns = n_buckets * bucket_ns
+let max_seq = (1 lsl Timerq.seq_bits) - 1
+let entries = Alcotest.(list (triple int int int))
+
+let timerq_pop q =
+  let time = Timerq.next_time q in
+  let e = (time, Timerq.next_seq q, Timerq.next_slot q) in
+  Timerq.drop_next q;
+  Timerq.advance q ~now:time;
+  e
+
+let timerq_drain q =
+  let out = ref [] in
+  while Timerq.find_next q do
+    out := timerq_pop q :: !out
+  done;
+  List.rev !out
+
+let test_timerq_packed_key_extremes () =
+  let q = Timerq.create () in
+  let b = 5 * bucket_ns in
+  let last = b + bucket_ns - 1 in
+  List.iter
+    (fun (time, seq, slot) -> Timerq.push q ~time ~seq slot)
+    [
+      (last, max_seq, 1);
+      (last, 0, 2);
+      (b, max_seq, 3);
+      (b + (bucket_ns / 2), 7, 4);
+      (b, 0, 5);
+    ];
+  let expected =
+    [
+      (b, 0, 5);
+      (b, max_seq, 3);
+      (b + (bucket_ns / 2), 7, 4);
+      (last, 0, 2);
+      (last, max_seq, 1);
+    ]
+  in
+  checkb "found" true (Timerq.find_next q);
+  checkb "one wheel bucket" true
+    (Timerq.head_in_wheel q && Timerq.head_bucket_len q = 5);
+  (* The batch path sorts the drained keys as plain ints: the largest
+     packed key must still be non-negative and sort last. *)
+  let base = Timerq.head_bucket_start q in
+  let dst = Array.make 10 0 in
+  let n = Timerq.drain_bucket q dst in
+  let drained =
+    List.init n (fun i -> (dst.(2 * i), dst.((2 * i) + 1)))
+    |> List.sort compare
+    |> List.map (fun (key, slot) ->
+           ( base + (key lsr Timerq.seq_bits),
+             key land max_seq,
+             slot ))
+  in
+  check entries "drained keys sort to (time, seq)" expected drained;
+  checki "bucket emptied" 0 (Timerq.length q);
+  List.iter
+    (fun (time, seq, slot) -> Timerq.push q ~time ~seq slot)
+    (List.rev expected);
+  check entries "popped in (time, seq) order" expected (timerq_drain q)
+
+(* A standing population of eight timers, one pushed per pop, with
+   times aimed at the edges: the clock's own instant and bucket, bucket
+   starts (so the clock often sits on one), the last nanoseconds before
+   the horizon, the horizon itself and whole buckets beyond it. The
+   clock runs until the ring has wrapped more than [n_buckets] times;
+   every pop must match a (time, seq) binary heap. *)
+let test_timerq_ring_wraps () =
+  let rng = Random.State.make [| 15 |] in
+  let q = Timerq.create () and reference = Pheap.create () in
+  let seq = ref 0 and now = ref 0 in
+  let push () =
+    let horizon_end = ((!now / bucket_ns) + n_buckets) * bucket_ns in
+    let time =
+      match Random.State.int rng 8 with
+      | 0 -> !now
+      | 1 -> !now + Random.State.int rng bucket_ns
+      | 2 -> ((!now / bucket_ns) + 1 + Random.State.int rng 8) * bucket_ns
+      | 3 -> horizon_end - 1 - Random.State.int rng 3
+      | 4 -> horizon_end
+      | 5 -> horizon_end + (bucket_ns * Random.State.int rng n_buckets)
+      | 6 -> horizon_end + Random.State.int rng horizon_ns
+      | _ -> !now + Random.State.int rng horizon_ns
+    in
+    Timerq.push q ~time ~seq:!seq !seq;
+    Pheap.push reference ~key:time ~seq:!seq !seq;
+    incr seq
+  in
+  (* Plain comparisons: an Alcotest check per pop would log ~100k lines. *)
+  let pop () =
+    match Pheap.pop reference with
+    | None -> Alcotest.fail "reference heap empty"
+    | Some ((time, s, slot) as expected) ->
+        if not (Timerq.find_next q) then Alcotest.fail "queue empty early";
+        let ((t', s', slot') as got) = timerq_pop q in
+        if got <> expected then
+          Alcotest.failf "popped (%d, %d, %d), expected (%d, %d, %d)" t' s'
+            slot' time s slot;
+        now := time
+  in
+  for _ = 1 to 8 do
+    push ()
+  done;
+  let wraps = n_buckets + 1 in
+  while !now / horizon_ns <= wraps do
+    push ();
+    pop ()
+  done;
+  checki "same population" (Pheap.length reference) (Timerq.length q);
+  while not (Pheap.is_empty reference) do
+    pop ()
+  done;
+  checkb "drained" true (Timerq.is_empty q)
+
+let test_timerq_horizon_overflow () =
+  let q = Timerq.create () in
+  let triple = Alcotest.(triple int int int) in
+  (* At clock 0 the wheel covers [0, horizon_ns): the horizon itself is
+     the first overflow nanosecond. *)
+  List.iter
+    (fun (time, seq) -> Timerq.push q ~time ~seq (10 * seq))
+    [
+      (horizon_ns, 5);
+      (horizon_ns, 3);
+      (horizon_ns + 1, 0);
+      (2 * horizon_ns, 6);
+      (horizon_ns, 4);
+    ];
+  checkb "found" true (Timerq.find_next q);
+  checkb "horizon timers wait in the overflow heap" false
+    (Timerq.head_in_wheel q);
+  checki "overflow head" horizon_ns (Timerq.next_time q);
+  Timerq.push q ~time:(horizon_ns - 1) ~seq:9 90;
+  checkb "found" true (Timerq.find_next q);
+  checkb "the horizon's last nanosecond is in the wheel" true
+    (Timerq.head_in_wheel q);
+  check triple "wheel entry first" (horizon_ns - 1, 9, 90) (timerq_pop q);
+  (* That pop moved the clock into the ring's last bucket, and with it
+     the horizon past the timers at horizon_ns and horizon_ns + 1. *)
+  checkb "found" true (Timerq.find_next q);
+  checkb "overflow drained into the wheel" true (Timerq.head_in_wheel q);
+  check entries "drained back in (time, seq) order"
+    [
+      (horizon_ns, 3, 30);
+      (horizon_ns, 4, 40);
+      (horizon_ns, 5, 50);
+      (horizon_ns + 1, 0, 0);
+    ]
+    (List.init 4 (fun _ -> ignore (Timerq.find_next q); timerq_pop q));
+  (* The clock now sits in bucket [n_buckets], whose horizon is exactly
+     the last timer: it must still be in the overflow heap, not aliased
+     onto the clock's own ring slot. *)
+  checkb "found" true (Timerq.find_next q);
+  checkb "the new horizon waits in the overflow heap" false
+    (Timerq.head_in_wheel q);
+  check triple "last" (2 * horizon_ns, 6, 60) (timerq_pop q);
+  checkb "drained" true (Timerq.is_empty q)
+
+let test_timerq_compact_order () =
+  let rng = Random.State.make [| 7 |] in
+  let q = Timerq.create () in
+  let now = horizon_ns / 3 in
+  Timerq.advance q ~now;
+  (* Half the timers crowd the first 64 buckets (several per bucket),
+     the rest spread over three horizons (wheel and overflow). *)
+  let pushed =
+    List.init 2000 (fun seq ->
+        let span = if seq mod 2 = 0 then 64 * bucket_ns else 3 * horizon_ns in
+        (now + Random.State.int rng span, seq))
+  in
+  List.iter (fun (time, seq) -> Timerq.push q ~time ~seq seq) pushed;
+  let visits = Array.make 2000 0 in
+  Timerq.compact q ~keep:(fun slot ->
+      visits.(slot) <- visits.(slot) + 1;
+      slot mod 3 <> 0);
+  checkb "keep called once per entry" true (Array.for_all (( = ) 1) visits);
+  let expected =
+    List.filter (fun (_, seq) -> seq mod 3 <> 0) pushed
+    |> List.sort compare
+    |> List.map (fun (time, seq) -> (time, seq, seq))
+  in
+  checki "survivors" (List.length expected) (Timerq.length q);
+  check entries "survivors in (time, seq) order" expected (timerq_drain q)
+
 (* --- Sim -------------------------------------------------------------------- *)
 
 let test_sim_ordering () =
@@ -440,6 +634,21 @@ let test_counters_lane_incr_alloc_free () =
   let l = Counters.lane c "dp.packets_done" in
   check_alloc_free "Counters.lane_incr"
     (minor_words_per_op (fun i -> Counters.lane_incr l (i land 3)))
+
+(* --- Footprint caps ----------------------------------------------------------- *)
+
+(* Words reachable from [v], headers included. Construction is
+   deterministic, so the count repeats exactly and a cap catches a
+   structure whose fixed size grew. *)
+let check_footprint what ~cap v =
+  let words = Obj.reachable_words (Obj.repr v) in
+  if words > cap then
+    Alcotest.failf "%s reaches %d words (cap %d)" what words cap
+
+(* A fresh engine holds its event pool and the wheel's spine and bitmap;
+   no bucket buffer exists until a timer lands in it. *)
+let test_sim_footprint () =
+  check_footprint "Sim.create ()" ~cap:(22 * 1024) (Sim.create ())
 
 (* --- Pheap regression: grow after clear ------------------------------------ *)
 
@@ -836,6 +1045,11 @@ let suite =
     ("sim immediate ordering", `Quick, test_sim_immediate);
     ("sim counters", `Quick, test_sim_counters);
     ("sim tombstone compaction", `Quick, test_sim_tombstone_compaction);
+    ("timerq packed key extremes", `Quick, test_timerq_packed_key_extremes);
+    ("timerq order across ring wraps", `Quick, test_timerq_ring_wraps);
+    ("timerq horizon overflow", `Quick, test_timerq_horizon_overflow);
+    ("timerq compact keeps order", `Quick, test_timerq_compact_order);
+    ("sim footprint", `Quick, test_sim_footprint);
     ("heap clear then push", `Quick, test_heap_clear_then_push);
     ("bucket layout saturation", `Quick, test_bucket_saturation);
     ("rng determinism", `Quick, test_rng_deterministic);

@@ -53,6 +53,22 @@ let test_cp_affinity_per_policy () =
   System.warmup tai;
   checki "taichi: cp + vcpus" 12 (List.length (System.cp_affinity tai))
 
+(* The fixed cost of one simulated NIC: a warmed Tai Chi system, then
+   the same system after 20 ms of data-plane traffic and vCPU-placing
+   control-plane churn, which touches the engine wheel's bucket buffers
+   and grows the packet arena to its working size. *)
+let test_system_footprint () =
+  let sys = System.create ~seed:1 Policy.taichi_default in
+  System.warmup sys;
+  Test_engine.check_footprint "warmed taichi system" ~cap:(128 * 1024) sys;
+  let until = Sim.now (System.sim sys) + Time_ns.ms 20 in
+  Exp_common.start_bg_dp sys ~target:0.3 ~until;
+  Exp_common.start_cp_churn sys ~period:(Time_ns.ms 1) ~work:(Time_ns.ms 4)
+    ~until;
+  System.advance sys (Time_ns.ms 20);
+  Test_engine.check_footprint "taichi system after 20 ms of load"
+    ~cap:(264 * 1024) sys
+
 let test_warmup_sets_epoch () =
   let sys = System.create ~seed:1 Policy.taichi_default in
   System.warmup sys;
@@ -202,6 +218,7 @@ let suite =
     ("type2 loses dp cores", `Quick, test_type2_loses_dp_cores);
     ("cp affinity per policy", `Quick, test_cp_affinity_per_policy);
     ("warmup sets epoch", `Quick, test_warmup_sets_epoch);
+    ("system footprint", `Quick, test_system_footprint);
     ("naive spikes, taichi does not", `Slow, test_naive_spikes_taichi_does_not);
     ("taichi speeds up cp", `Slow, test_taichi_speeds_up_cp);
     ("fig12 ordering shape", `Slow, test_fig12_shape);

@@ -531,6 +531,20 @@ let test_frozen_lane_export () =
         run with
         Export.events = run.Export.events @ [ retired; late_transition ];
       };
+    ];
+  (* A marker that does not parse would never arm the frozen-lane check
+     for its tenant, so it is an error in its own right. *)
+  expect_error "a malformed retirement marker"
+    [
+      {
+        run with
+        Export.events =
+          run.Export.events
+          @ [
+              ev ~time:(t0 + 10) Trace.Cat.churn
+                "retired tenant=one forced=false";
+            ];
+      };
     ]
 
 let suite =
