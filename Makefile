@@ -1,4 +1,4 @@
-.PHONY: all build test smoke sweep-check golden-update ci clean
+.PHONY: all build test smoke sweep-check seed-sweep golden-update ci clean
 
 # Cell-level parallelism for the experiment sweeps below. Output and
 # trace exports are byte-identical at any value (see DESIGN.md §11), so
@@ -65,6 +65,23 @@ sweep-check: build
 	sed 's|_build/sweep/j4.json|TRACE|' _build/sweep/j4.out > _build/sweep/j4.norm
 	cmp _build/sweep/j1.norm _build/sweep/j4.norm
 	dune exec bin/trace_lint.exe -- _build/sweep/j4.json
+
+# Every beyond-paper oracle across seeds: overload, churn, chaos,
+# multitenant and fleet at seeds 1-30, --scale 0.25, one
+# "<experiment> <seed> ok|fail" line per run (each run's output goes to
+# _build/seed-sweep/). The list must match test/seed-sweep.expected,
+# which records the known failures, so both a new failure and an
+# unrecorded fix make this target fail.
+seed-sweep: build
+	mkdir -p _build/seed-sweep
+	for e in overload churn chaos multitenant fleet; do \
+	  for s in $$(seq 1 30); do \
+	    if ./_build/default/bin/taichi_sim.exe $$e --seed $$s --scale 0.25 \
+	      --jobs $(JOBS) > _build/seed-sweep/$$e-$$s.log 2>&1; \
+	    then echo "$$e $$s ok"; else echo "$$e $$s fail"; fi; \
+	  done; \
+	done > _build/seed-sweep.out
+	diff test/seed-sweep.expected _build/seed-sweep.out
 
 # Re-promote every committed golden digest under test/golden: the tier-1
 # stdout digests and the two CI digest files. Dune prints the lines that

@@ -352,20 +352,3 @@ let retire t ~tenant =
     end
   in
   ignore (Sim.after t.sim t.config.Config.drain_poll poll)
-
-let drain_violations t ~tenant =
-  match Hashtbl.find_opt t.assigned tenant with
-  | None -> []
-  | Some a ->
-      prune_finished a;
-      List.map (fun task -> Printf.sprintf "task %s unfinished" task.Task.tname)
-        a.tasks
-      @ Vcpu_sched.quiesce_violations t.sched ~tenant
-      @ List.filter_map
-          (fun dp ->
-            if Dp_service.pending_work dp then
-              Some
-                (Printf.sprintf "service on core %d still has work"
-                   (Dp_service.core dp))
-            else None)
-          a.services

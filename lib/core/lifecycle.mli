@@ -100,7 +100,3 @@ val on_retired : t -> (int -> unit) -> unit
 
 val pool_size : t -> int
 val free_services : t -> int
-
-val drain_violations : t -> tenant:int -> string list
-(** What currently stands between [tenant] and quiescence (unfinished
-    tasks, vCPU-side violations, service backlog); [[]] means quiet. *)

@@ -206,10 +206,6 @@ let level t =
 let level_of t ~tenant = (lane t tenant).level
 let is_frozen t ~tenant = (lane t tenant).frozen
 
-let backpressure_of t ~tenant =
-  let l = lane t tenant in
-  (not l.frozen) && rank l.level >= rank Defer
-
 let backpressure t =
   fold_lanes t
     (fun acc l -> acc || ((not l.frozen) && rank l.level >= rank Defer))
@@ -223,7 +219,6 @@ let lane_shed l cls =
   Option.value ~default:0 (Hashtbl.find_opt l.shed_counts cls)
 
 let shed t cls = fold_lanes t (fun a l -> a + lane_shed l cls) 0
-let shed_of t ~tenant cls = lane_shed (lane t tenant) cls
 let deferred_pending t = fold_lanes t (fun a l -> a + Queue.length l.deferred) 0
 let deferred_pending_of t ~tenant = Queue.length (lane t tenant).deferred
 

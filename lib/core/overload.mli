@@ -129,8 +129,6 @@ val backpressure : t -> bool
 (** True when any lane sits at [Defer] or above — workload clients should
     stop submitting deferrable work. *)
 
-val backpressure_of : t -> tenant:int -> bool
-
 val admit :
   t -> ?tenant:int -> cls:cls -> (unit -> unit) -> [ `Admitted | `Deferred | `Shed ]
 (** [admit t ~tenant ~cls run] routes one CP admission through [tenant]'s
@@ -155,8 +153,6 @@ val relaxes : t -> int
 
 val shed : t -> cls -> int
 (** Admissions dropped for [cls] so far, summed over lanes. *)
-
-val shed_of : t -> tenant:int -> cls -> int
 
 val deferred_pending : t -> int
 (** Admissions currently parked on the deferred queues, summed over

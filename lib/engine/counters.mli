@@ -35,8 +35,6 @@ val add_h : t -> handle -> int -> unit
     boxing: use it when the amount is computed per event (byte counts)
     and the call must stay allocation-free. *)
 
-val get_h : t -> handle -> int
-
 val incr : t -> ?by:int -> string -> unit
 (** [incr t ?by name] adds [by] (default 1) to counter [name], creating
     it at zero first if needed. Equivalent to registering and using the

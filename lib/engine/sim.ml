@@ -31,16 +31,6 @@ type t = {
   mutable live : int;
   mutable fired : int;
   mutable compactions : int;
-  (* batched bucket dispatch: when the head bucket is dense, [run]/[step]
-     lift it wholesale into this scratch (stride-2: packed key, slot;
-     sorted ascending by key) and dispatch from the flat array. The batch
-     persists across calls — a [run ~until] can stop mid-batch — so every
-     head observation merges the batch front against the queue head. *)
-  mutable batch : int array;
-  mutable batch_len : int; (* entries drained (pairs) *)
-  mutable batch_pos : int; (* next undispatched entry *)
-  mutable batch_base : int; (* absolute time of the drained bucket *)
-  mutable head_in_batch : bool; (* where the last live_head found the head *)
 }
 
 (* A handle packs [gen lsl slot_bits lor slot]: 24 bits of slot index
@@ -69,11 +59,6 @@ let create () =
     live = 0;
     fired = 0;
     compactions = 0;
-    batch = [||];
-    batch_len = 0;
-    batch_pos = 0;
-    batch_base = 0;
-    head_in_batch = false;
   }
 
 let now sim = sim.clock
@@ -155,13 +140,11 @@ let at_reserved sim time ~seq callback =
 
 (* Cancelled events are tombstones: they stay queued and are dropped
    lazily on pop. [dead_events] is how many tombstones the queue
-   currently holds — a drained-but-undispatched batch entry still counts
-   as queued, so the count (and therefore the compaction policy below)
-   stays op-for-op identical to the seed engine, which never drains.
-   Once tombstones outnumber live events ~2:1 (and are past a floor that
-   keeps tiny sims from churning) the queue is compacted in place. *)
-let batch_remaining sim = sim.batch_len - sim.batch_pos
-let dead_events sim = Timerq.length sim.q + batch_remaining sim - sim.live
+   currently holds, so the count (and therefore the compaction policy
+   below) stays op-for-op identical to the seed engine. Once tombstones
+   outnumber live events ~2:1 (and are past a floor that keeps tiny sims
+   from churning) the queue is compacted in place. *)
+let dead_events sim = Timerq.length sim.q - sim.live
 
 let compact_floor = 64
 
@@ -174,23 +157,6 @@ let maybe_compact sim =
           free_slot sim slot;
           false
         end);
-    (* Sweep the undispatched batch remainder too: the seed engine's
-       compaction would have reached these entries in its heap, so
-       leaving them would skew [dead_events] against the oracle. The
-       in-place filter preserves sorted order. *)
-    if batch_remaining sim > 0 then begin
-      let j = ref sim.batch_pos in
-      for i = sim.batch_pos to sim.batch_len - 1 do
-        let slot = sim.batch.((2 * i) + 1) in
-        if sim.gens.(slot) land 1 = 0 then begin
-          sim.batch.(2 * !j) <- sim.batch.(2 * i);
-          sim.batch.((2 * !j) + 1) <- slot;
-          incr j
-        end
-        else free_slot sim slot
-      done;
-      sim.batch_len <- !j
-    end;
     sim.compactions <- sim.compactions + 1
   end
 
@@ -205,81 +171,25 @@ let cancel sim h =
 
 let is_pending sim h = sim.gens.(h land slot_mask) = h lsr slot_bits
 
-(* --- merged head (batch front vs queue head) ----------------------------- *)
-
-let seq_mask = (1 lsl Timerq.seq_bits) - 1
-let batch_head_key sim = sim.batch.(2 * sim.batch_pos)
-let batch_head_slot sim = sim.batch.((2 * sim.batch_pos) + 1)
-
-let batch_head_time sim =
-  sim.batch_base + (batch_head_key sim lsr Timerq.seq_bits)
-
-let batch_head_seq sim = batch_head_key sim land seq_mask
-
-(* Locate the earliest live event across the batch remainder and the
-   queue, dropping tombstone heads from whichever side holds them —
-   exactly when the seed engine's pop would have dropped them, which
-   keeps [dead_events] (and so the compaction trigger) bit-identical.
-   Events during dispatch can order before the batch remainder (a
-   same-instant push, or a reserved-seq timer re-armed under an older
-   seq), so this is a true two-way merge, not a fast path. *)
+(* Locate the earliest live event, dropping tombstone heads exactly
+   when the seed engine's pop would have dropped them, which keeps
+   [dead_events] (and so the compaction trigger) bit-identical. *)
 let rec live_head sim =
-  let have_q = Timerq.find_next sim.q in
-  if sim.batch_pos < sim.batch_len
-     && (not have_q
-        ||
-        let bt = batch_head_time sim in
-        let qt = Timerq.next_time sim.q in
-        bt < qt || (bt = qt && batch_head_seq sim < Timerq.next_seq sim.q))
-  then begin
-    let slot = batch_head_slot sim in
-    if sim.gens.(slot) land 1 = 0 then begin
-      sim.head_in_batch <- true;
-      true
-    end
-    else begin
-      sim.batch_pos <- sim.batch_pos + 1;
-      free_slot sim slot;
-      live_head sim
-    end
+  Timerq.find_next sim.q
+  &&
+  let slot = Timerq.next_slot sim.q in
+  if sim.gens.(slot) land 1 = 0 then true
+  else begin
+    Timerq.drop_next sim.q;
+    free_slot sim slot;
+    live_head sim
   end
-  else if have_q then begin
-    let slot = Timerq.next_slot sim.q in
-    if sim.gens.(slot) land 1 = 0 then begin
-      sim.head_in_batch <- false;
-      true
-    end
-    else begin
-      Timerq.drop_next sim.q;
-      free_slot sim slot;
-      live_head sim
-    end
-  end
-  else false
 
-(* Head accessors, valid after [live_head] returned true. *)
-let head_time sim =
-  if sim.head_in_batch then batch_head_time sim else Timerq.next_time sim.q
-
-let head_seq sim =
-  if sim.head_in_batch then batch_head_seq sim else Timerq.next_seq sim.q
-
-(* Fire the merged head. Precondition: [live_head] just returned true. *)
+(* Fire the head. Precondition: [live_head] just returned true. *)
 let fire_head sim =
-  let time, slot =
-    if sim.head_in_batch then begin
-      let time = batch_head_time sim in
-      let slot = batch_head_slot sim in
-      sim.batch_pos <- sim.batch_pos + 1;
-      (time, slot)
-    end
-    else begin
-      let time = Timerq.next_time sim.q in
-      let slot = Timerq.next_slot sim.q in
-      Timerq.drop_next sim.q;
-      (time, slot)
-    end
-  in
+  let time = Timerq.next_time sim.q in
+  let slot = Timerq.next_slot sim.q in
+  Timerq.drop_next sim.q;
   sim.clock <- time;
   Timerq.advance sim.q ~now:time;
   let cb = sim.cbs.(slot) in
@@ -288,118 +198,33 @@ let fire_head sim =
   sim.fired <- sim.fired + 1;
   cb ()
 
-(* --- batched bucket dispatch --------------------------------------------- *)
-
-(* In-place quicksort of the stride-2 (key, payload) scratch by key
-   ascending, insertion sort below a small cutoff. Keys are unique
-   (distinct seqs), so there are no equal-pivot runs to worry about. *)
-let sort_pairs a n =
-  let swap i j =
-    let k = a.(2 * i) and v = a.((2 * i) + 1) in
-    a.(2 * i) <- a.(2 * j);
-    a.((2 * i) + 1) <- a.((2 * j) + 1);
-    a.(2 * j) <- k;
-    a.((2 * j) + 1) <- v
-  in
-  let rec qsort lo hi =
-    if hi - lo < 12 then
-      for i = lo + 1 to hi do
-        let k = a.(2 * i) and v = a.((2 * i) + 1) in
-        let j = ref (i - 1) in
-        while !j >= lo && a.(2 * !j) > k do
-          a.(2 * (!j + 1)) <- a.(2 * !j);
-          a.((2 * (!j + 1)) + 1) <- a.((2 * !j) + 1);
-          decr j
-        done;
-        a.(2 * (!j + 1)) <- k;
-        a.((2 * (!j + 1)) + 1) <- v
-      done
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      (* median-of-three pivot, parked at [hi] *)
-      if a.(2 * mid) < a.(2 * lo) then swap lo mid;
-      if a.(2 * hi) < a.(2 * lo) then swap lo hi;
-      if a.(2 * hi) < a.(2 * mid) then swap mid hi;
-      let pivot = a.(2 * mid) in
-      swap mid hi;
-      let store = ref lo in
-      for i = lo to hi - 1 do
-        if a.(2 * i) < pivot then begin
-          if i <> !store then swap i !store;
-          incr store
-        end
-      done;
-      swap !store hi;
-      qsort lo (!store - 1);
-      qsort (!store + 1) hi
-    end
-  in
-  if n > 1 then qsort 0 (n - 1)
-
-(* Batch only dense buckets: draining and sorting a near-empty bucket
-   costs more than popping it. *)
-let batch_threshold = 4
-
-(* If the (live) head sits in a dense wheel bucket and no batch is
-   pending, lift the bucket into the scratch. Precondition: [live_head]
-   just returned true. *)
-let maybe_drain sim =
-  if (not sim.head_in_batch)
-     && sim.batch_pos >= sim.batch_len
-     && Timerq.head_in_wheel sim.q
-     && Timerq.head_bucket_len sim.q >= batch_threshold
-  then begin
-    let len = Timerq.head_bucket_len sim.q in
-    if 2 * len > Array.length sim.batch then
-      sim.batch <- Array.make (2 * len * 2) 0;
-    sim.batch_base <- Timerq.head_bucket_start sim.q;
-    let n = Timerq.drain_bucket sim.q sim.batch in
-    sort_pairs sim.batch n;
-    sim.batch_len <- n;
-    sim.batch_pos <- 0;
-    (* the old queue head is now the batch front, still live *)
-    sim.head_in_batch <- true
-  end
-
 let step sim =
   if live_head sim then begin
-    maybe_drain sim;
     fire_head sim;
     true
   end
   else false
 
 let run ?until sim =
-  (match until with
+  match until with
   | None ->
       while live_head sim do
-        maybe_drain sim;
         fire_head sim
       done
   | Some limit ->
-      let continue = ref true in
-      while !continue do
-        if not (live_head sim) then continue := false
-        else if head_time sim > limit then continue := false
-        else begin
-          maybe_drain sim;
-          fire_head sim
-        end
-      done);
-  match until with
-  | Some limit when sim.clock < limit ->
-      sim.clock <- limit;
-      Timerq.advance sim.q ~now:limit
-  | _ -> ()
-
-let next_event sim =
-  if live_head sim then Some (head_time sim, head_seq sim) else None
+      while live_head sim && Timerq.next_time sim.q <= limit do
+        fire_head sim
+      done;
+      if sim.clock < limit then begin
+        sim.clock <- limit;
+        Timerq.advance sim.q ~now:limit
+      end
 
 let has_event_before sim ~time ~seq =
   live_head sim
   &&
-  let t = head_time sim in
-  t < time || (t = time && head_seq sim < seq)
+  let t = Timerq.next_time sim.q in
+  t < time || (t = time && Timerq.next_seq sim.q < seq)
 
 let pending_events sim = sim.live
 let events_processed sim = sim.fired

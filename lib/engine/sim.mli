@@ -84,11 +84,6 @@ val at_reserved : t -> Time_ns.t -> seq:int -> (unit -> unit) -> unit
     reserved seq at most once. Raises [Invalid_argument] if [time] is in
     the past or [seq] was never reserved. *)
 
-val next_event : t -> (Time_ns.t * int) option
-(** [next_event sim] is the [(time, seq)] of the earliest live pending
-    event, if any — what would fire next. Tombstoned (cancelled) heads
-    are swept as a side effect. *)
-
 val has_event_before : t -> time:Time_ns.t -> seq:int -> bool
 (** [has_event_before sim ~time ~seq] is [true] iff a live pending event
     orders strictly before [(time, seq)] — the allocation-free query a

@@ -284,31 +284,11 @@ let drop_next t =
   end
   else Pheap.drop t.overflow
 
-(* --- batched bucket drain ------------------------------------------------ *)
+(* --- observers ------------------------------------------------------------- *)
 
-(* The head-bucket accessors assume the last [find_next] returned true
-   and nothing was pushed, dropped or advanced since; they let the owner
-   decide whether the head bucket is dense enough to be worth draining
-   in one pass instead of popping entry by entry. *)
-
+(* Valid under the same precondition as the next_* accessors. *)
 let head_in_wheel t = t.next_in_wheel
 let head_bucket_len t = t.blen.(t.cursor land bucket_mask)
-let head_bucket_start t = t.cursor lsl slot_bits
-
-(* Move the whole head bucket out of the wheel into [dst] (stride-2:
-   packed key, payload — unsorted heap order; the caller sorts by key,
-   which restores exact (time, seq) dequeue order since all entries
-   share the bucket's time base). [dst] must hold 2 * head_bucket_len
-   ints. One bitmap clear and one counter update replace per-entry
-   sift-downs. *)
-let drain_bucket t dst =
-  let s = t.cursor land bucket_mask in
-  let len = t.blen.(s) in
-  Array.blit t.bufs.(s) 0 dst 0 (2 * len);
-  t.blen.(s) <- 0;
-  mark_empty t s;
-  t.wheel_count <- t.wheel_count - len;
-  len
 
 (* --- tombstone compaction ------------------------------------------------ *)
 

@@ -56,17 +56,20 @@ val next_slot : t -> int
 val drop_next : t -> unit
 (** Remove the entry located by the last {!find_next}. *)
 
-(** {2 Batched bucket drain}
+val compact : t -> keep:(int -> bool) -> unit
+(** [compact t ~keep] drops every entry whose payload fails [keep],
+    preserving (time, seq) order of survivors. [keep] is called exactly
+    once per entry and may side-effect (the owner frees pool slots in
+    it). *)
 
-    When the head bucket is dense, the owner can lift it out wholesale
-    and dispatch from a flat scratch array instead of paying a per-entry
-    heap pop. All three calls assume the last {!find_next} returned
-    [true] with the minimum in the wheel ({!head_in_wheel}) and no
-    mutation since. *)
+(** {2 Observers}
+
+    Read by the tests. The two head observers assume the last
+    {!find_next} returned [true] and nothing changed since. *)
 
 val seq_bits : int
 (** Bits of the packed in-bucket key holding the sequence number; the
-    time offset from {!head_bucket_start} sits above them. *)
+    time offset from the bucket's first nanosecond sits above them. *)
 
 val head_in_wheel : t -> bool
 (** Whether the last {!find_next} located the minimum in the wheel (as
@@ -74,18 +77,3 @@ val head_in_wheel : t -> bool
 
 val head_bucket_len : t -> int
 (** Entries in the head bucket. *)
-
-val head_bucket_start : t -> int
-(** Absolute time of the head bucket's first nanosecond. *)
-
-val drain_bucket : t -> int array -> int
-(** [drain_bucket t dst] moves every head-bucket entry into [dst]
-    (stride-2: packed key, payload; unsorted) and returns the entry
-    count. [dst] must hold [2 * head_bucket_len t] ints. Sorting [dst]
-    by key ascending restores exact (time, seq) dequeue order. *)
-
-val compact : t -> keep:(int -> bool) -> unit
-(** [compact t ~keep] drops every entry whose payload fails [keep],
-    preserving (time, seq) order of survivors. [keep] is called exactly
-    once per entry and may side-effect (the owner frees pool slots in
-    it). *)

@@ -117,8 +117,6 @@ let heal t =
     t.emit ~nic:0 (Printf.sprintf "fabric heal epoch=%d" t.epoch)
   end
 
-let partitioned t = t.groups <> None
-
 (* --- exchange ------------------------------------------------------------ *)
 
 let send t ~src ~dst payload =

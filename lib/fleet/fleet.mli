@@ -84,7 +84,6 @@ val partition : 'nic t -> groups:int array -> unit
     ([fleet.exchange.lost_partition]) until {!heal}. *)
 
 val heal : 'nic t -> unit
-val partitioned : 'nic t -> bool
 
 (** {2 Exchange} *)
 

@@ -40,7 +40,6 @@ val make_run :
     the counters and captures the retained events. [tenants] (default
     empty) lists the registered tenant ids of a multi-tenant run. *)
 
-val run_to_json : run -> Json.t
 val to_json : run list -> Json.t
 val to_string : run list -> string
 

@@ -67,7 +67,6 @@ type t = {
   mutable cpu_order : int list;
   mutable work_available_hook : int -> unit;
   mutable cpu_idle_hook : int -> unit;
-  mutable task_done_hook : Task.t -> unit;
   mutable s_context_switches : int;
   mutable s_preemptions : int;
   mutable s_deferred : int;
@@ -97,7 +96,6 @@ let create ?(config = default_config) machine =
     cpu_order = [];
     work_available_hook = (fun _ -> ());
     cpu_idle_hook = (fun _ -> ());
-    task_done_hook = (fun _ -> ());
     s_context_switches = 0;
     s_preemptions = 0;
     s_deferred = 0;
@@ -133,7 +131,6 @@ let cpu_has_work c = c.cur <> None || runqueue_length c > 0
 let set_speed_tax c tax = c.speed_tax <- tax
 let set_work_available_hook t f = t.work_available_hook <- f
 let set_cpu_idle_hook t f = t.cpu_idle_hook <- f
-let set_task_done_hook t f = t.task_done_hook <- f
 
 let stats t =
   {
@@ -427,7 +424,6 @@ and exit_task t c task =
   task.Task.finished_at <- Some (Sim.now t.sim);
   task.Task.cpu <- None;
   c.cur <- None;
-  t.task_done_hook task;
   leave_cpu t c
 
 and start_run t c task work =

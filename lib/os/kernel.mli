@@ -128,9 +128,6 @@ val set_cpu_idle_hook : t -> (int -> unit) -> unit
 (** Called with a CPU id whenever a dispatch finds nothing to run — the
     vCPU scheduler's Halt-exit signal. *)
 
-val set_task_done_hook : t -> (Task.t -> unit) -> unit
-(** Called when any task exits. *)
-
 (** {1 Statistics} *)
 
 type stats = {

@@ -49,7 +49,6 @@ let params_of ~scale pt =
     governor = pt.governor;
     failover = pt.failover;
     faults = pt.faults;
-    fleet_jobs = min pt.nics 4;
   }
 
 let measure ctx ~seed ~scale ~key pt =

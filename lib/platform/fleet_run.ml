@@ -59,7 +59,7 @@ let default_params =
     governor = true;
     failover = true;
     faults = Nic_faults.quiet;
-    fleet_jobs = 4;
+    fleet_jobs = 1;
   }
 
 type receipt = {

@@ -35,7 +35,7 @@ type params = {
 
 val default_params : params
 (** 8 NICs × 48 × 2.5 ms epochs, density 4, governor and failover on, no
-    fleet faults, 4 worker domains. *)
+    fleet faults, 1 worker domain. *)
 
 type receipt = {
   tenant : string;

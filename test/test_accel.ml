@@ -92,6 +92,102 @@ let test_pipeline_in_flight () =
   checki "drained" 0 (Pipeline.in_flight p ~core:0);
   checki "delivered" 3 (Pipeline.delivered p)
 
+(* The pipeline delivers through one drain timer that it re-arms under
+   reserved sequence numbers, yet it must be indistinguishable from the
+   seed engine's one [Sim.at] per packet. Random programs submit packets
+   to three capacity-4 rings (so some drop), schedule foreign events at
+   a recent packet's due instant and 1 ns either side (half of them
+   submit more packets when they fire), stop [Sim.run ~until] at random
+   points and pop bursts. The reference runs the same program with each
+   submit scheduling its own closure at submit + [Pipeline.window] that
+   pushes the packet into its ring. The logs (every delivery, foreign
+   firing and pop, with its time and every ring's length and drops), the
+   sequence numbers issued and the final ring contents must be equal. *)
+type delivery_log =
+  | Delivered of int * int * (int * int) list (* time, core, rings *)
+  | Fired of int * int * (int * int) list (* foreign id, time, rings *)
+  | Popped of int * int * (int * int) list (* time, count, rings *)
+
+let run_delivery_program ~pipelined ops =
+  let sim = Sim.create () in
+  let p = Pipeline.create sim in
+  let window = Pipeline.window p in
+  let rings =
+    Array.init 3 (fun core ->
+        let r = Ring.create ~capacity:4 ~name:(string_of_int core) () in
+        Pipeline.attach_ring p ~core r;
+        r)
+  in
+  let rings_now () =
+    Array.to_list (Array.map (fun r -> (Ring.length r, Ring.drops r)) rings)
+  in
+  let log = ref [] in
+  let note e = log := e :: !log in
+  Pipeline.set_deliver_hook p (fun ~core ->
+      note (Delivered (Sim.now sim, core, rings_now ())));
+  let tags = ref 0 and dues = ref [] and foreign = ref 0 in
+  let submit core =
+    incr tags;
+    let pk = pkt ~core ~tag:!tags () in
+    let due = Sim.now sim + window in
+    dues := due :: !dues;
+    if pipelined then Pipeline.submit p pk
+    else
+      ignore
+        (Sim.at sim due (fun () ->
+             pk.Packet.t_ring <- Sim.now sim;
+             if Ring.push rings.(core) pk then
+               note (Delivered (Sim.now sim, core, rings_now ()))))
+  in
+  let schedule_foreign a b =
+    let n = min 4 (List.length !dues) in
+    if n > 0 then begin
+      let time = List.nth !dues (a mod n) + (b mod 3) - 1 in
+      if time >= Sim.now sim then begin
+        let id = !foreign in
+        incr foreign;
+        ignore
+          (Sim.at sim time (fun () ->
+               note (Fired (id, Sim.now sim, rings_now ()));
+               if b / 3 mod 2 = 0 then
+                 for _ = 0 to b / 6 mod 3 do
+                   submit ((a + b) mod 3)
+                 done))
+      end
+    end
+  in
+  List.iter
+    (fun (op, a, b) ->
+      match op with
+      | 0 ->
+          for _ = 0 to b mod 3 do
+            submit (a mod 3)
+          done
+      | 1 -> schedule_foreign a b
+      | 2 -> Sim.run ~until:(Sim.now sim + (a mod 4000)) sim
+      | _ ->
+          let burst = Ring.pop_burst rings.(a mod 3) ~max:(1 + (b mod 4)) in
+          note (Popped (Sim.now sim, List.length burst, rings_now ())))
+    ops;
+  Sim.run sim;
+  let contents r =
+    let l = ref [] in
+    Ring.iter (fun pk -> l := (pk.Packet.tag, pk.Packet.t_ring) :: !l) r;
+    List.rev !l
+  in
+  ( List.rev !log,
+    Sim.events_scheduled sim,
+    Array.map (fun r -> (contents r, Ring.drops r)) rings )
+
+let prop_pipeline_delivery =
+  QCheck.Test.make ~name:"pipeline delivery == one event per packet" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_range 0 120)
+        (triple (int_bound 3) (int_bound 9999) small_int))
+    (fun ops ->
+      run_delivery_program ~pipelined:true ops
+      = run_delivery_program ~pipelined:false ops)
+
 (* --- Vcpu / Vmexit ------------------------------------------------------------ *)
 
 let test_vcpu_exit_histogram () =
@@ -278,4 +374,5 @@ let suite =
       test_pipeline_cycle_no_alloc );
     QCheck_alcotest.to_alcotest prop_arena_roundtrip;
     QCheck_alcotest.to_alcotest prop_arena_growth;
+    QCheck_alcotest.to_alcotest prop_pipeline_delivery;
   ]
