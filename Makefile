@@ -1,4 +1,4 @@
-.PHONY: all build test smoke sweep-check seed-sweep golden-update ci clean
+.PHONY: all build test examples smoke sweep-check seed-sweep golden-update ci clean
 
 # Cell-level parallelism for the experiment sweeps below. Output and
 # trace exports are byte-identical at any value (see DESIGN.md §11), so
@@ -13,22 +13,30 @@ build:
 test: build
 	dune runtest
 
-# Fast end-to-end check for CI: full build + unit/property suites, then a
-# small traced fig12 run whose JSON export must parse and satisfy the
-# occupancy invariant (trace_lint exits non-zero otherwise), then a short
-# chaos run — the seeded fault matrix with the Core_state audit, the
-# hung-vCPU watchdog oracle and trace_lint as pass/fail gates — then the
-# overload storm, whose export additionally exercises trace_lint's ladder
-# checks (transition sequence, one rung at a time, minimum dwell), then
-# the multitenant grid, whose export exercises trace_lint's per-tenant
-# lane checks (registered — possibly sparse — ids, non-negative rows,
-# per-tenant sums equal to the globals), then the churn grid, whose
-# export exercises the frozen-lane rule (no overload transitions after a
-# tenant's retirement marker), then the fleet grid restricted to the
-# 8-NIC failover-on cells, whose per-NIC exports exercise trace_lint's
-# fleet checks (".nic<NN>" labels, recv-side cross-NIC causality,
-# non-negative fleet.* counters).
-smoke: test
+# Run every example end to end; a non-zero exit fails the target. Each
+# example's output goes to _build/examples/<name>.out.
+examples: build
+	mkdir -p _build/examples
+	for e in quickstart vm_startup_storm latency_colocation dp_boost; do \
+	  ./_build/default/examples/$$e.exe > _build/examples/$$e.out || exit 1; \
+	done
+
+# Fast end-to-end check for CI: full build + unit/property suites and
+# the examples, then a small traced fig12 run whose JSON export must
+# parse and satisfy the occupancy invariant (trace_lint exits non-zero
+# otherwise), then a short chaos run — the seeded fault matrix with the
+# Core_state audit, the hung-vCPU watchdog oracle and trace_lint as
+# pass/fail gates — then the overload storm, whose export additionally
+# exercises trace_lint's ladder checks (transition sequence, one rung at
+# a time, minimum dwell), then the multitenant grid, whose export
+# exercises trace_lint's per-tenant lane checks (registered — possibly
+# sparse — ids, non-negative rows, per-tenant sums equal to the
+# globals), then the churn grid, whose export exercises the frozen-lane
+# rule (no overload transitions after a tenant's retirement marker),
+# then the fleet grid restricted to the 8-NIC failover-on cells, whose
+# per-NIC exports exercise trace_lint's fleet checks (".nic<NN>" labels,
+# recv-side cross-NIC causality, non-negative fleet.* counters).
+smoke: test examples
 	dune exec bin/taichi_sim.exe -- fig12 --seed 42 --scale 0.05 \
 		--jobs $(JOBS) --trace-json _build/smoke-trace.json
 	dune exec bin/trace_lint.exe -- _build/smoke-trace.json

@@ -50,68 +50,27 @@ let trace_json_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace-json" ] ~docv:"FILE" ~doc)
 
-let chaos_profile_arg =
-  let doc =
-    "Restrict the chaos experiment to one fault profile ("
-    ^ String.concat ", "
-        (List.map fst Taichi_faults.Injector.profiles)
-    ^ "). Defaults to the full matrix."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "chaos-profile" ] ~docv:"PROFILE" ~doc)
-
-let overload_governor_arg =
-  let doc =
-    "Restrict the overload experiment to one governor setting ($(b,on) or \
-     $(b,off)). Defaults to both."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "overload" ] ~docv:"GOVERNOR" ~doc)
-
-let aggressor_arg =
-  let doc =
-    "Restrict the multitenant experiment to the aggressor ($(b,on): CP \
-     storm / DP burst cells) or contention-only ($(b,off): saturation / \
-     idle cells) half of the grid. Defaults to both."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "aggressor" ] ~docv:"AGGRESSOR" ~doc)
-
-let churn_profile_arg =
-  let doc =
-    "Restrict the churn experiment to one churn profile ($(b,steady): \
-     arrival waves and forced departure, $(b,flap): thrash / refusal / \
-     determinism repeat, $(b,chaos): chaos-under-churn). Defaults to the \
-     full grid."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "churn-profile" ] ~docv:"PROFILE" ~doc)
-
-let nics_arg =
-  let doc =
-    "Restrict the fleet experiment to the cells whose rack is $(docv) \
-     NICs wide (8 or 16; the determinism repeat rides with the 8-NIC \
-     cells). Defaults to every width."
-  in
-  Arg.(value & opt (some int) None & info [ "nics" ] ~docv:"N" ~doc)
-
-let failover_arg =
-  let doc =
-    "Restrict the fleet experiment to one failover setting ($(b,on) or \
-     $(b,off)). Defaults to both."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "failover" ] ~docv:"FAILOVER" ~doc)
+(* The narrowing flags, as the chosen (flag, value filter) pairs.
+   --help lists exactly the values each accepts, and Cmdliner rejects any
+   other before anything runs (exit 124). *)
+let narrowing =
+  List.fold_right
+    (fun (n : P.Experiments.narrowing) rest ->
+      let doc =
+        Printf.sprintf "%s $(docv) must be %s. Defaults to every cell." n.doc
+          (Arg.doc_alts_enum n.values)
+      in
+      let arg =
+        Arg.(
+          value
+          & opt (some (enum n.values)) None
+          & info [ n.flag ] ~docv:(String.uppercase_ascii n.flag) ~doc)
+      in
+      let add keep rest =
+        match keep with Some keep -> (n, keep) :: rest | None -> rest
+      in
+      Term.(const add $ arg $ rest))
+    P.Experiments.narrowings (Term.const [])
 
 let list_experiments () =
   Printf.printf "%-11s %5s  %s\n" "name" "cells" "description";
@@ -134,10 +93,13 @@ let print_trace_report runs =
         run.counters)
     runs
 
-(* Exit codes: 0 success, 1 usage / export error, 2 uncaught experiment
-   failure (Cmdliner), 3 post-experiment audit violation — a run that
-   produced output but left the machine in an incoherent state must be
-   distinguishable from an infrastructure error in CI. *)
+(* Exit codes: 0 success; 1 a usage error of ours (a missing or unknown
+   experiment, a refused narrowing) or an export error; 124 a bad flag
+   value (Cmdliner); 125 an uncaught exception, which is how a failed
+   oracle ends a run today (Cmdliner); 3 a post-experiment audit
+   violation — a run that produced output but left the machine in an
+   incoherent state must be distinguishable from an infrastructure error
+   in CI. *)
 let audit_exit_code = 3
 
 let report_audit_failures failures =
@@ -149,43 +111,51 @@ let report_audit_failures failures =
   Printf.eprintf "%d run(s) failed the post-experiment audit\n"
     (List.length failures)
 
-(* The narrowing flags become plain cell filters on the relevant
-   descriptor — no module state anywhere. *)
-let filter_for ~chaos_profile ~overload_governor ~aggressor ~churn_profile
-    ~fleet_nics ~fleet_failover desc =
-  match P.Exp_desc.name desc with
-  | "chaos" -> (
-      match chaos_profile with
-      | Some p -> P.Exp_chaos.profile_filter p
-      | None -> fun _ -> true)
-  | "overload" -> (
-      match overload_governor with
-      | Some g -> P.Exp_overload.governor_filter g
-      | None -> fun _ -> true)
-  | "multitenant" -> (
-      match aggressor with
-      | Some a -> P.Exp_multitenant.aggressor_filter a
-      | None -> fun _ -> true)
-  | "churn" -> (
-      match churn_profile with
-      | Some p -> P.Exp_churn.profile_filter p
-      | None -> fun _ -> true)
-  | "fleet" ->
-      let by_nics =
-        match fleet_nics with
-        | Some n -> P.Exp_fleet.nics_filter n
-        | None -> fun _ -> true
-      in
-      let by_failover =
-        match fleet_failover with
-        | Some s -> P.Exp_fleet.failover_filter s
-        | None -> fun _ -> true
-      in
-      fun cell -> by_nics cell && by_failover cell
-  | _ -> fun _ -> true
+let unknown_experiment name =
+  Printf.eprintf "unknown experiment %s" name;
+  (match P.Experiments.closest name with
+  | Some (suggestion, cells) ->
+      Printf.eprintf " (did you mean %s, %d cells?)" suggestion cells
+  | None -> ());
+  Printf.eprintf "; known: %s\n" (String.concat ", " experiment_names)
 
-let run name seed scale jobs list trace trace_json chaos_profile
-    overload_governor aggressor churn_profile fleet_nics fleet_failover =
+let run_descs descs ~seed ~scale ~jobs ~trace ~trace_json narrowing =
+  let tracing = trace || trace_json <> None in
+  (* Collect audit violations instead of aborting mid-batch: every
+     experiment still runs, then the process exits with the distinct audit
+     status below. *)
+  let ctx = P.Run_ctx.create ~tracing ~audit:P.Run_ctx.Collect () in
+  List.iter
+    (fun desc ->
+      P.Sweep.run ~jobs
+        ~filter:(P.Experiments.filter_for narrowing desc)
+        (P.Run_ctx.with_experiment ctx (P.Exp_desc.name desc))
+        desc ~seed ~scale)
+    descs;
+  let runs = P.Run_ctx.runs ctx in
+  if trace then print_trace_report runs;
+  let status =
+    (* Export failures must not look like a successful run: report and
+       fail cleanly rather than dying on an uncaught Sys_error. *)
+    match trace_json with
+    | Some path -> (
+        try
+          Taichi_metrics.Export.write_file path runs;
+          Printf.printf "trace export: %d run(s) written to %s\n"
+            (List.length runs) path;
+          0
+        with Sys_error msg ->
+          Printf.eprintf "cannot write trace export: %s\n" msg;
+          1)
+    | None -> 0
+  in
+  match P.Run_ctx.audit_failures ctx with
+  | [] -> status
+  | failures ->
+      report_audit_failures failures;
+      audit_exit_code
+
+let run name seed scale jobs list trace trace_json narrowing =
   if list then begin
     list_experiments ();
     0
@@ -196,66 +166,19 @@ let run name seed scale jobs list trace trace_json chaos_profile
         Printf.eprintf "missing EXPERIMENT (try --list)\n";
         1
     | Some name -> (
-        let tracing = trace || trace_json <> None in
-        (* Collect audit violations instead of aborting mid-batch: every
-           experiment still runs, then the process exits with the distinct
-           audit status below. *)
-        let ctx = P.Run_ctx.create ~tracing ~audit:P.Run_ctx.Collect () in
-        let run_desc desc =
-          let ctx = P.Run_ctx.with_experiment ctx (P.Exp_desc.name desc) in
-          P.Sweep.run ~jobs
-            ~filter:
-              (filter_for ~chaos_profile ~overload_governor ~aggressor
-                 ~churn_profile ~fleet_nics ~fleet_failover desc)
-            ctx desc ~seed ~scale
+        let descs =
+          if name = "all" then Some P.Experiments.all
+          else Option.map (fun d -> [ d ]) (P.Experiments.find name)
         in
-        let status =
-          if name = "all" then begin
-            List.iter run_desc P.Experiments.all;
-            0
-          end
-          else
-            match P.Experiments.find name with
-            | Some desc ->
-                run_desc desc;
-                0
-            | None ->
-                Printf.eprintf "unknown experiment %s" name;
-                (match P.Experiments.closest name with
-                | Some (suggestion, cells) ->
-                    Printf.eprintf " (did you mean %s, %d cells?)" suggestion
-                      cells
-                | None -> ());
-                Printf.eprintf "; known: %s\n"
-                  (String.concat ", " experiment_names);
-                1
-        in
-        let status =
-          if status = 0 && tracing then begin
-            let runs = P.Run_ctx.runs ctx in
-            if trace then print_trace_report runs;
-            (* Export failures must not look like a successful run: report
-               and fail cleanly rather than dying on an uncaught
-               Sys_error. *)
-            match trace_json with
-            | Some path -> (
-                try
-                  Taichi_metrics.Export.write_file path runs;
-                  Printf.printf "trace export: %d run(s) written to %s\n"
-                    (List.length runs) path;
-                  status
-                with Sys_error msg ->
-                  Printf.eprintf "cannot write trace export: %s\n" msg;
-                  1)
-            | None -> status
-          end
-          else status
-        in
-        match P.Run_ctx.audit_failures ctx with
-        | [] -> status
-        | failures ->
-            report_audit_failures failures;
-            audit_exit_code)
+        match (descs, P.Experiments.refusal narrowing name) with
+        | None, _ ->
+            unknown_experiment name;
+            1
+        | Some _, Some why ->
+            Printf.eprintf "taichi_sim: %s\n" why;
+            1
+        | Some descs, None ->
+            run_descs descs ~seed ~scale ~jobs ~trace ~trace_json narrowing)
 
 let cmd =
   let doc = "Reproduce the Tai Chi (SOSP'25) evaluation on the simulator" in
@@ -263,7 +186,6 @@ let cmd =
   Cmd.v info
     Term.(
       const run $ name_arg $ seed_arg $ scale_arg $ jobs_arg $ list_arg
-      $ trace_arg $ trace_json_arg $ chaos_profile_arg $ overload_governor_arg
-      $ aggressor_arg $ churn_profile_arg $ nics_arg $ failover_arg)
+      $ trace_arg $ trace_json_arg $ narrowing)
 
 let main () = exit (Cmd.eval' cmd)

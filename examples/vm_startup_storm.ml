@@ -11,7 +11,6 @@
    Run with: dune exec examples/vm_startup_storm.exe *)
 
 open Taichi_engine
-open Taichi_os
 open Taichi_core
 open Taichi_metrics
 open Taichi_controlplane
@@ -33,21 +32,11 @@ let storm policy ~density =
   let until = Sim.now (System.sim sys) + Time_ns.sec 60 in
   Exp_common.start_bg_dp sys ~target:0.12 ~until;
   Exp_common.start_cp_ecosystem sys ();
-  let sim = System.sim sys in
-  let rng = Rng.split (System.rng sys) "storm" in
   let recorder = Recorder.create "startup" in
-  let locks =
-    List.init 8 (fun i -> Task.spinlock (Printf.sprintf "device-driver-%d" i))
-  in
-  let params =
-    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
-  in
-  let n_vms = int_of_float (10.0 *. density) in
   let tasks =
-    List.init n_vms (fun i ->
-        Vm_lifecycle.startup_task ~sim ~rng ~params ~locks ~affinity:[]
-          ~name:(Printf.sprintf "vm-%d" i)
-          ~recorder ())
+    Exp_common.vm_storm sys
+      ~rng:(Rng.split (System.rng sys) "storm")
+      ~density ~locks:"device-driver" ~name:"vm" ~recorder
   in
   (* VM lifecycle work is ordinary tenant work: Standard class, the tier
      the governor throttles before ever touching Critical monitors. *)

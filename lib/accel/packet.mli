@@ -40,7 +40,6 @@ val dummy : t
 (** A shared inert record for initialising packet arrays. Never enqueue
     or free it. *)
 
-val kind_name : kind -> string
 val pp : Format.formatter -> t -> unit
 
 (** {1 Arena} *)

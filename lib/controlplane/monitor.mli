@@ -19,24 +19,6 @@ val metrics_collector :
 (** Forever: collect (user 80 µs) + register read (non-preemptible,
     Fig 5 body) + log write (preemptible kernel 150 µs) + sleep. *)
 
-val log_flusher :
-  rng:Rng.t ->
-  period:Time_ns.t ->
-  affinity:int list ->
-  name:string ->
-  Task.t
-(** Forever: batch format (user 200 µs) + fsync-like non-preemptible
-    flush + sleep. *)
-
-val orchestration_agent :
-  rng:Rng.t ->
-  period:Time_ns.t ->
-  affinity:int list ->
-  name:string ->
-  Task.t
-(** Forever: keepalive parse (user 120 µs) + secured-API crypto (user
-    300 µs) + socket send (preemptible kernel 60 µs) + sleep. *)
-
 val standard_background :
   rng:Rng.t -> affinity:int list -> unit -> Task.t list
 (** The default background mix: two collectors (10 ms and 50 ms), one log

@@ -204,7 +204,6 @@ let level t =
     Normal
 
 let level_of t ~tenant = (lane t tenant).level
-let is_frozen t ~tenant = (lane t tenant).frozen
 
 let backpressure t =
   fold_lanes t

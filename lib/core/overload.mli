@@ -72,8 +72,6 @@ val level_label : level -> string
 val rank : level -> int
 (** Ladder depth, [Normal] = 0 … [Static_partition] = 4. *)
 
-val cls_label : cls -> string
-
 val create :
   ?tenants:Tenant.table -> Config.t -> Machine.t -> Kernel.t -> Recovery.t -> t
 (** One lane per tenant; a single untagged lane when the table is
@@ -96,8 +94,6 @@ val retire_lane : t -> tenant:int -> unit
     admissions or counter increments. If that rung was
     [Static_partition], its contribution to the degraded hold is
     released. Idempotent; the lane and its totals are never deleted. *)
-
-val is_frozen : t -> tenant:int -> bool
 
 val move_dp_watch : t -> core:int -> from_tenant:int -> to_tenant:int -> unit
 (** Re-home a floating DP core's occupancy signal when the churn

@@ -8,7 +8,6 @@ type t = {
   h_false_positive : Counters.handle option;
   thresholds : int array;
   fps : int array;
-  mutable adjustments : int;
 }
 
 let create ?machine config ~cores =
@@ -22,7 +21,6 @@ let create ?machine config ~cores =
     h_false_positive = h "probe.sw.false_positive";
     thresholds = Array.make cores config.Config.threshold_init;
     fps = Array.make cores 0;
-    adjustments = 0;
   }
 
 let threshold t ~core = t.thresholds.(core)
@@ -42,18 +40,14 @@ let on_sustained_idle t ~core =
   if t.config.Config.adaptive_threshold then begin
     let n = t.thresholds.(core) - t.config.Config.threshold_dec in
     t.thresholds.(core) <- max t.config.Config.threshold_min n;
-    t.adjustments <- t.adjustments + 1;
     note t ~core t.h_sustained_idle "sustained_idle"
   end
 
 let on_false_positive t ~core =
   t.fps.(core) <- t.fps.(core) + 1;
-  if t.config.Config.adaptive_threshold then begin
-    let n = t.thresholds.(core) * 2 in
-    t.thresholds.(core) <- min t.config.Config.threshold_max n;
-    t.adjustments <- t.adjustments + 1
-  end;
+  if t.config.Config.adaptive_threshold then
+    t.thresholds.(core) <-
+      min t.config.Config.threshold_max (t.thresholds.(core) * 2);
   note t ~core t.h_false_positive "false_positive"
 
 let false_positives t ~core = t.fps.(core)
-let adjustments t = t.adjustments

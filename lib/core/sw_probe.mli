@@ -26,4 +26,3 @@ val on_false_positive : t -> core:int -> unit
     from this core — the yield fired too eagerly. *)
 
 val false_positives : t -> core:int -> int
-val adjustments : t -> int

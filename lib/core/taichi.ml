@@ -205,7 +205,6 @@ let kernel t = t.kernel
 let scheduler t = t.sched
 let orchestrator t = t.orch
 let hw_probe t = t.probe
-let sw_probe t = t.sw
 let softirq t = t.softirq
 let state_table t = t.table
 let recovery t = t.recovery

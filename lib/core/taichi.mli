@@ -53,7 +53,6 @@ val kernel : t -> Kernel.t
 val scheduler : t -> Vcpu_sched.t
 val orchestrator : t -> Ipi_orchestrator.t
 val hw_probe : t -> Hw_probe.t
-val sw_probe : t -> Sw_probe.t
 
 val softirq : t -> Softirq.t
 (** The softirq layer carrying the dedicated context-switch vector. *)

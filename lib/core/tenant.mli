@@ -36,9 +36,6 @@ type phase = Admitted | Active | Draining | Retired
     CP tasks; [Retired] tenants are gone — their lanes are frozen, never
     deleted. *)
 
-val phase_name : phase -> string
-(** Lower-case phase name, as used in lifecycle trace events. *)
-
 type spec = {
   name : string;
   weight : int;  (** share weight for the tenant scheduling stage *)
@@ -113,9 +110,6 @@ val total_weight : table -> int
 val counter : int -> string -> string
 (** [counter id suffix] is the per-tenant counter name
     [tenant.<id>.<suffix>], mirroring the global counter [<suffix>]. *)
-
-val counter_prefix : string
-(** ["tenant."] — the namespace the lints scan for per-tenant rows. *)
 
 val parse_counter : string -> (int * string) option
 (** [parse_counter name] splits [tenant.<id>.<suffix>] into

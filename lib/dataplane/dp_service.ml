@@ -43,8 +43,6 @@ type t = {
   mutable idle_event : Sim.handle option;
   mutable poll_since : Time_ns.t;  (** start of the current empty-poll span *)
   mutable park_since : Time_ns.t;  (** start of the current parked span *)
-  mutable poll_dwell : Time_ns.t;  (** cumulative empty-poll (Counting) time *)
-  mutable park_dwell : Time_ns.t;  (** cumulative parked (Idle_parked) time *)
   mutable resuming : bool;
   mutable bursts : int;
   mutable spikes : int;
@@ -117,23 +115,16 @@ let state t =
 let transition t ~cause st = Core_state.transition t.cs ~core:t.config.core ~cause st
 
 (* Close out the running empty-poll span. Both empty polling and parking
-   are charged to the [Dp_poll] accounting class (the core is burning
-   cycles without doing packet work either way), but their dwell times are
-   tracked separately so per-state stats are unambiguous. *)
+   are charged to the [Dp_poll] accounting class: the core is burning
+   cycles without doing packet work either way. *)
 let settle_poll_time t =
   let d = Sim.now t.sim - t.poll_since in
-  if d > 0 then begin
-    charge t Accounting.Dp_poll d;
-    t.poll_dwell <- t.poll_dwell + d
-  end;
+  if d > 0 then charge t Accounting.Dp_poll d;
   t.poll_since <- Sim.now t.sim
 
 let settle_park_time t =
   let d = Sim.now t.sim - t.park_since in
-  if d > 0 then begin
-    charge t Accounting.Dp_poll d;
-    t.park_dwell <- t.park_dwell + d
-  end;
+  if d > 0 then charge t Accounting.Dp_poll d;
   t.park_since <- Sim.now t.sim
 
 let rec enter_counting t ~cause =
@@ -237,8 +228,6 @@ let create machine pipeline config =
       idle_event = None;
       poll_since = 0;
       park_since = 0;
-      poll_dwell = 0;
-      park_dwell = 0;
       resuming = false;
       bursts = 0;
       spikes = 0;
@@ -349,8 +338,6 @@ let bursts t = t.bursts
 let yields t = t.yields
 let resumes t = t.resumes
 let spikes t = t.spikes
-let empty_poll_time t = t.poll_dwell
-let parked_time t = t.park_dwell
 
 let busy_fraction t ~elapsed =
   if elapsed <= 0 then 0.0

@@ -137,14 +137,6 @@ val resumes : t -> int
 val spikes : t -> int
 (** Packets whose latency exceeded [config.spike_threshold]. *)
 
-val empty_poll_time : t -> Time_ns.t
-(** Cumulative time spent empty-polling in [Counting]. Both this and
-    {!parked_time} are charged to the [Dp_poll] accounting class; the
-    split accessors disambiguate the per-state dwell. *)
-
-val parked_time : t -> Time_ns.t
-(** Cumulative time spent parked in [Idle_parked]. *)
-
 val busy_fraction : t -> elapsed:Time_ns.t -> float
 (** Fraction of [elapsed] spent doing useful packet processing — the
     "data-plane CPU utilization" of Fig 3. *)

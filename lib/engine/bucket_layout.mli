@@ -10,7 +10,6 @@
     [upper_of (index_of v) >= v], [index_of] is monotone in [v], and
     [upper_of] is monotone in the bucket index. *)
 
-val sub_bits : int
 val sub_count : int
 
 val index_of : int -> int

@@ -70,7 +70,3 @@ val lane : t -> string -> lane
 
 val lane_incr : lane -> ?by:int -> int -> unit
 (** [lane_incr l ?by tenant] increments ["tenant.<tenant>.<suffix>"]. *)
-
-val lane_handle : lane -> int -> handle
-(** The underlying handle for one tenant's cell (interned on first
-    use). *)

@@ -13,9 +13,6 @@ val create : unit -> t
 val add : t -> int -> unit
 (** [add h v] records observation [v]; negative values are clamped to 0. *)
 
-val add_many : t -> int -> int -> unit
-(** [add_many h v n] records [n] identical observations. *)
-
 val count : t -> int
 val mean : t -> float
 val min_value : t -> int

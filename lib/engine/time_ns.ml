@@ -11,8 +11,6 @@ let round_to_int x =
   if x >= 0.0 then int_of_float (x +. 0.5) else -int_of_float (0.5 -. x)
 
 let of_us_f x = round_to_int (x *. 1e3)
-let of_ms_f x = round_to_int (x *. 1e6)
-let of_sec_f x = round_to_int (x *. 1e9)
 let to_us_f t = float_of_int t /. 1e3
 let to_ms_f t = float_of_int t /. 1e6
 let to_sec_f t = float_of_int t /. 1e9

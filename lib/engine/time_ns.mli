@@ -27,12 +27,6 @@ val minutes : int -> t
 val of_us_f : float -> t
 (** [of_us_f x] is [x] microseconds rounded to the nearest nanosecond. *)
 
-val of_ms_f : float -> t
-(** [of_ms_f x] is [x] milliseconds rounded to the nearest nanosecond. *)
-
-val of_sec_f : float -> t
-(** [of_sec_f x] is [x] seconds rounded to the nearest nanosecond. *)
-
 val to_us_f : t -> float
 (** [to_us_f t] is [t] expressed in microseconds. *)
 

@@ -107,10 +107,6 @@ let churn =
     churn_overrun_period = Time_ns.ms 10;
   }
 
-let profiles =
-  [ ("none", none); ("flaky", flaky); ("storm", storm); ("churn", churn) ]
-let of_name n = List.assoc_opt n profiles
-
 type t = {
   machine : Machine.t;
   profile : profile;

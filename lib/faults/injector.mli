@@ -80,9 +80,6 @@ val churn : profile
     Requires a churn-enabled config and the harness callbacks below;
     without them the streams fire but do nothing. *)
 
-val profiles : (string * profile) list
-val of_name : string -> profile option
-
 type t
 
 val create :

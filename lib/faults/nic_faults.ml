@@ -20,14 +20,6 @@ type event =
   | Partition_end
   | Drain_overrun of int
 
-let event_label = function
-  | Crash i -> Printf.sprintf "crash nic=%d" i
-  | Brownout_start i -> Printf.sprintf "brownout-start nic=%d" i
-  | Brownout_end i -> Printf.sprintf "brownout-end nic=%d" i
-  | Partition_start _ -> "partition-start"
-  | Partition_end -> "partition-end"
-  | Drain_overrun i -> Printf.sprintf "drain-overrun nic=%d" i
-
 type spec = {
   crashes : int;  (** NICs to kill inside the crash window *)
   crash_window : int * int;  (** inclusive epoch window for crashes *)

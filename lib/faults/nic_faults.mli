@@ -22,8 +22,6 @@ type event =
       (** pin a drain open past its window mid-failover; this NIC is the
           pin's preferred home, not where it must land *)
 
-val event_label : event -> string
-
 type spec = {
   crashes : int;
   crash_window : int * int;  (** inclusive epoch window for crashes *)
@@ -40,6 +38,3 @@ val quiet : spec
 val plan : rng:Rng.t -> nics:int -> epochs:int -> spec -> (int * event) list
 (** [(epoch, event)] schedule sorted by epoch (stable class order within
     an epoch), every epoch clamped into [0, epochs-1]. *)
-
-val crashed_nics : (int * event) list -> int list
-(** The NICs a plan crashes, in schedule order. *)

@@ -2,16 +2,6 @@ open Taichi_engine
 
 type cpu_class = Dp_work | Dp_poll | Cp_work | Spin | Switch | Os
 
-let all_classes = [ Dp_work; Dp_poll; Cp_work; Spin; Switch; Os ]
-
-let class_name = function
-  | Dp_work -> "dp_work"
-  | Dp_poll -> "dp_poll"
-  | Cp_work -> "cp_work"
-  | Spin -> "spin"
-  | Switch -> "switch"
-  | Os -> "os"
-
 let class_index = function
   | Dp_work -> 0
   | Dp_poll -> 1
@@ -39,17 +29,3 @@ let total_class t cls =
 let utilization t ~core ~elapsed =
   if elapsed <= 0 then 0.0
   else Float.min 1.0 (float_of_int (busy t ~core) /. float_of_int elapsed)
-
-let pp_breakdown ~elapsed fmt t =
-  Array.iteri
-    (fun core _ ->
-      Format.fprintf fmt "core %2d:" core;
-      List.iter
-        (fun cls ->
-          let v = busy_class t ~core cls in
-          if v > 0 then
-            Format.fprintf fmt " %s=%s" (class_name cls) (Time_ns.to_string v))
-        all_classes;
-      Format.fprintf fmt " util=%.1f%%@."
-        (100.0 *. utilization t ~core ~elapsed))
-    t.cells

@@ -15,9 +15,6 @@ type cpu_class =
   | Switch  (** context-switch and VM-entry/exit overhead *)
   | Os  (** scheduler, softirq and interrupt handling *)
 
-val all_classes : cpu_class list
-val class_name : cpu_class -> string
-
 type t
 
 val create : cores:int -> t
@@ -36,5 +33,3 @@ val total_class : t -> cpu_class -> Time_ns.t
 
 val utilization : t -> core:int -> elapsed:Time_ns.t -> float
 (** [utilization t ~core ~elapsed] is busy/elapsed, clamped to [0, 1]. *)
-
-val pp_breakdown : elapsed:Time_ns.t -> Format.formatter -> t -> unit

@@ -91,7 +91,6 @@ let register_lapic t lapic =
   Hashtbl.replace t.lapics id lapic
 
 let lapic t ~apic_id = Hashtbl.find t.lapics apic_id
-let lapic_opt t ~apic_id = Hashtbl.find_opt t.lapics apic_id
 
 let set_ipi_interceptor t hook = t.interceptor <- hook
 let set_fault_hook t hook = t.fault_hook <- hook

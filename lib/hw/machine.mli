@@ -50,8 +50,6 @@ val register_lapic : t -> Lapic.t -> unit
 val lapic : t -> apic_id:int -> Lapic.t
 (** Raises [Not_found] for an unregistered id. *)
 
-val lapic_opt : t -> apic_id:int -> Lapic.t option
-
 type route = Deliver | Consumed
 (** Interceptor outcome: [Deliver] lets the fabric deliver normally;
     [Consumed] means the interceptor handled routing itself. *)

@@ -40,14 +40,14 @@ val make_run :
     the counters and captures the retained events. [tenants] (default
     empty) lists the registered tenant ids of a multi-tenant run. *)
 
-val to_json : run list -> Json.t
 val to_string : run list -> string
 
 val write_file : string -> run list -> unit
 (** [write_file path runs] writes the export plus a trailing newline. *)
 
-val validate_json : Json.t -> (unit, string) result
-(** Structural and semantic check used by [trace_lint] and the tests:
+val validate_string : string -> (unit, string) result
+(** Parse an export, then run the structural and semantic check used
+    by [trace_lint] and the tests:
     schema marker present, timeline rows match the core count, every
     core's [dp + vcpu + switch + idle] equals both its [total_ns] and the
     run's [duration_ns], [core_state.illegal] is zero, [recovery.*] and
@@ -64,5 +64,3 @@ val validate_json : Json.t -> (unit, string) result
     non-negative, name a tenant id from the run's [tenants] field, and
     sum — per suffix, across tenants — to exactly the global [<suffix>]
     counter. *)
-
-val validate_string : string -> (unit, string) result

@@ -1,17 +1,13 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
-type t = { columns : (string * align) list; mutable rows : row list }
+type t = { columns : (string * align) list; mutable rows : string list list }
 
 let create ~columns = { columns; rows = [] }
 
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Table.add_row: cell count mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let render t =
   let headers = List.map fst t.columns in
@@ -20,10 +16,7 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row ->
-            match row with
-            | Rule -> acc
-            | Cells cells -> max acc (String.length (List.nth cells i)))
+          (fun acc cells -> max acc (String.length (List.nth cells i)))
           (String.length h) rows)
       headers
   in
@@ -33,10 +26,6 @@ let render t =
     match align with
     | Left -> s ^ String.make fill ' '
     | Right -> String.make fill ' ' ^ s
-  in
-  let rule () =
-    List.iter (fun w -> Buffer.add_string buf (String.make (w + 2) '-')) widths;
-    Buffer.add_char buf '\n'
   in
   let emit_cells cells =
     List.iteri
@@ -48,10 +37,9 @@ let render t =
     Buffer.add_char buf '\n'
   in
   emit_cells headers;
-  rule ();
-  List.iter
-    (fun row -> match row with Rule -> rule () | Cells cells -> emit_cells cells)
-    rows;
+  List.iter (fun w -> Buffer.add_string buf (String.make (w + 2) '-')) widths;
+  Buffer.add_char buf '\n';
+  List.iter emit_cells rows;
   Buffer.contents buf
 
 let print ?title t =

@@ -11,9 +11,6 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row; raises [Invalid_argument] when the
     cell count differs from the column count. *)
 
-val add_rule : t -> unit
-(** [add_rule t] inserts a horizontal separator row. *)
-
 val render : t -> string
 (** [render t] is the table as a multi-line string with a title rule. *)
 

@@ -119,8 +119,6 @@ let cpu t id =
   if id < 0 || id >= Array.length t.cpus then raise Not_found;
   match t.cpus.(id) with Some c -> c | None -> raise Not_found
 
-let cpu_id c = c.cid
-let cpu_ids t = t.cpu_order
 let cpu_kind c = c.kind
 let is_online c = c.online
 let is_backed c = c.backed

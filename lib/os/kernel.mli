@@ -64,8 +64,6 @@ val boot : t -> cpu -> ?on_online:(unit -> unit) -> src:int -> unit -> unit
 val cpu : t -> int -> cpu
 (** Raises [Not_found] for an unknown id. *)
 
-val cpu_id : cpu -> int
-val cpu_ids : t -> int list
 val cpu_kind : cpu -> [ `Physical | `Virtual ]
 val is_online : cpu -> bool
 val is_backed : cpu -> bool

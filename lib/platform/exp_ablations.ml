@@ -76,12 +76,8 @@ let ablations =
     ~description:
       "Disable each Tai Chi mechanism in turn (adaptive slice, adaptive \
        threshold, lock-safe rescheduling) and measure the damage"
-    ~cells:(List.map fst ablations_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
-      let label, config =
-        List.assoc cell.Exp_desc.key
-          (List.map (fun (c, v) -> (c.Exp_desc.key, v)) ablations_grid)
-      in
+    ~grid:ablations_grid
+    ~run_cell:(fun ctx ~seed ~scale:_ _cell (label, config) ->
       scenario ctx ~seed label config)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let table =

@@ -1,27 +1,8 @@
 open Taichi_engine
 open Taichi_hw
 open Taichi_os
-open Taichi_accel
 open Taichi_core
 open Taichi_faults
-open Taichi_workloads
-
-(* A control-plane task that grabs a device lock and sits in a
-   non-preemptible kernel routine for [hold] — the §3.2 pathology the
-   CP-hang stream injects on demand. *)
-let hang_task ~lock ~hold ~n =
-  let stage = ref 0 in
-  Task.create
-    ~name:(Printf.sprintf "chaos-hang-%d" n)
-    ~step:(fun _ ->
-      let s = !stage in
-      incr stage;
-      match s with
-      | 0 -> Task.Acquire lock
-      | 1 -> Task.Run { duration = hold; mode = Task.Kernel_nonpreemptible }
-      | 2 -> Task.Release lock
-      | _ -> Task.Exit)
-    ()
 
 (* Per-fault-class report rows: which injection counters feed the class
    and which recovery counters answer it. "Detected" is the detector
@@ -103,25 +84,7 @@ let run_scenario ctx ~seed ~scale ~profile ~policy =
       let tc = Option.get (System.taichi sys) in
       let sim = System.sim sys in
       (* Wire the fault classes that need stack or workload cooperation. *)
-      Injector.attach_table inj (Taichi.state_table tc);
-      let probe = Taichi.hw_probe tc in
-      Hw_probe.set_suppressor probe
-        (Some (fun ~core -> Injector.probe_suppress inj ~core));
-      Injector.set_probe_misfire inj (fun ~core -> Hw_probe.misfire probe ~core);
-      let hang_lock = Task.spinlock "chaos-dev" in
-      let hangs = ref 0 in
-      Injector.set_cp_hang inj (fun ~hold ->
-          incr hangs;
-          System.spawn_cp sys (hang_task ~lock:hang_lock ~hold ~n:!hangs));
-      let client = System.client sys in
-      let dp_cores = Array.of_list (System.dp_cores sys) in
-      let burst_rng = Rng.split (System.rng sys) "chaos-burst" in
-      Injector.set_dp_burst inj (fun ~size ->
-          for _ = 1 to size do
-            let core = dp_cores.(Rng.int burst_rng (Array.length dp_cores)) in
-            Client.submit_background client ~kind:Packet.Net_rx ~size:1400
-              ~core
-          done);
+      Exp_common.wire_injector sys inj ~prefix:"chaos";
       (* Measurement window: faults live for [dur], then a fault-free
          grace long enough for the watchdog, the mirror resync scan and
          the degraded-mode quiet period to finish their work. *)
@@ -153,6 +116,8 @@ let policies =
       Policy.Taichi (Config.resilient (Config.no_hw_probe Config.default)) );
   ]
 
+let profiles = [ Injector.flaky; Injector.storm ]
+
 let chaos_grid =
   List.concat_map
     (fun profile ->
@@ -167,17 +132,14 @@ let chaos_grid =
             },
             (profile, policy) ))
         policies)
-    [ Injector.flaky; Injector.storm ]
+    profiles
+
+let profile_names = List.map (fun p -> p.Injector.pname) profiles
 
 (* The CI matrix pins one profile per job; the CLI turns
    --chaos-profile into a cell filter over these keys. *)
 let profile_filter name cell =
-  match Injector.of_name name with
-  | None -> failwith (Printf.sprintf "chaos: unknown fault profile %s" name)
-  | Some p ->
-      String.length cell.Exp_desc.key > String.length p.Injector.pname
-      && String.sub cell.Exp_desc.key 0 (String.length p.Injector.pname)
-         = p.Injector.pname
+  String.starts_with ~prefix:(name ^ "-") cell.Exp_desc.key
 
 let chaos =
   Exp_desc.make ~name:"chaos"
@@ -188,12 +150,8 @@ let chaos =
       "Deterministic fault-injection matrix (flaky and storm profiles) \
        against resilient Tai Chi variants, with audit, watchdog and \
        degraded-mode oracles"
-    ~cells:(List.map fst chaos_grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let profile, policy =
-        List.assoc cell.Exp_desc.key
-          (List.map (fun (c, v) -> (c.Exp_desc.key, v)) chaos_grid)
-      in
+    ~grid:chaos_grid
+    ~run_cell:(fun ctx ~seed ~scale _cell (profile, policy) ->
       run_scenario ctx ~seed ~scale ~profile ~policy)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let engaged =

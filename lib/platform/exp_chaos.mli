@@ -23,6 +23,10 @@
 val chaos : Exp_desc.t
 (** One cell per (fault profile x resilient policy) matrix point. *)
 
+val profile_names : string list
+(** The fault profiles the matrix crosses, by name: the values
+    [--chaos-profile] accepts. *)
+
 val profile_filter : string -> Exp_desc.cell -> bool
 (** Cell filter keeping only the named profile's matrix row (the CLI's
-    [--chaos-profile]). Raises [Failure] on an unknown profile name. *)
+    [--chaos-profile]). *)

@@ -2,11 +2,8 @@ open Taichi_engine
 open Taichi_hw
 open Taichi_os
 open Taichi_metrics
-open Taichi_accel
 open Taichi_core
 open Taichi_faults
-open Taichi_workloads
-open Taichi_controlplane
 open Taichi_dataplane
 open Exp_common
 
@@ -74,49 +71,7 @@ type outcome = {
 
 (* --- helpers ------------------------------------------------------------- *)
 
-let cp_task sys ~tenant ~work ~name =
-  let rng = Rng.split (System.rng sys) ("churn-" ^ name) in
-  let params =
-    { Synth_cp.default_params with Synth_cp.total_work = work; phases = 3 }
-  in
-  Synth_cp.make ~tenant ~rng ~params ~locks:[] ~affinity:[] ~name ()
-
-let spawn_work sys ~tenant ~count ~work ~tag =
-  for i = 1 to count do
-    System.spawn_cp ~tenant sys
-      (cp_task sys ~tenant ~work ~name:(Printf.sprintf "%s-%d-%d" tag tenant i))
-  done
-
-(* Background traffic confined to the services a tenant currently owns —
-   for a dynamic tenant, its floating services. *)
-let feed_tenant_dp sys ~tenant ~target ~until =
-  let client = System.client sys in
-  let rng =
-    Rng.split (System.rng sys) (Printf.sprintf "churn-dp-%d" tenant)
-  in
-  let cores =
-    List.filter_map
-      (fun dp ->
-        if Dp_service.tenant dp = tenant then Some (Dp_service.core dp)
-        else None)
-      (System.services sys)
-  in
-  let net = List.filter (fun c -> List.mem c (System.net_cores sys)) cores in
-  let sto =
-    List.filter (fun c -> List.mem c (System.storage_cores sys)) cores
-  in
-  if net <> [] then
-    Bgload.start client rng
-      ~params:(Bgload.default_params ~target_util:target)
-      ~cores:net ~kind:Packet.Net_rx ~size:1400 ~until;
-  if sto <> [] then
-    Bgload.start client rng
-      ~params:
-        {
-          (Bgload.default_params ~target_util:target) with
-          Bgload.per_packet_est = Time_ns.ns 5200;
-        }
-      ~cores:sto ~kind:Packet.Storage_read ~size:4096 ~until
+let spawn_work sys = spawn_synth sys ~stream:"churn-"
 
 (* Victim latency over the PINNED services only. A floating service's
    recorder spans every owner it ever served, so merging by current owner
@@ -136,27 +91,6 @@ let victim_hist sys ~tenant =
     (List.filteri (fun i _ -> i < keep) dps)
 
 let at sys offset f = ignore (Sim.after (System.sim sys) offset f)
-
-let lifecycle_of sys =
-  match System.lifecycle sys with
-  | Some lc -> lc
-  | None -> failwith "exp_churn: the policy did not build a churn lifecycle"
-
-(* A chaos-cell CP task that grabs a lock and sits non-preemptible —
-   the same §3.2 pathology exp_chaos injects. *)
-let hang_task ~lock ~hold ~n =
-  let stage = ref 0 in
-  Task.create
-    ~name:(Printf.sprintf "churn-hang-%d" n)
-    ~step:(fun _ ->
-      let s = !stage in
-      incr stage;
-      match s with
-      | 0 -> Task.Acquire lock
-      | 1 -> Task.Run { duration = hold; mode = Task.Kernel_nonpreemptible }
-      | 2 -> Task.Release lock
-      | _ -> Task.Exit)
-    ()
 
 (* --- scenario drivers ----------------------------------------------------- *)
 
@@ -196,14 +130,18 @@ let drive_depart sys lc =
              quiesce inside its window and must escalate. *)
           spawn_work sys ~tenant:id ~count:4 ~work:(Time_ns.ms 20)
             ~tag:"depart";
-          feed_tenant_dp sys ~tenant:id ~target:0.7
+          (* DP traffic on the tenant's own (floating) services. *)
+          start_dp_load sys
+            ~rng:(Rng.split (System.rng sys) (Printf.sprintf "churn-dp-%d" id))
+            ~cores:(tenant_dp_cores sys ~tenant:id)
+            ~net:0.7 ~storage:0.7
             ~until:(Sim.now (System.sim sys) + Time_ns.ms 24);
           at sys (Time_ns.ms 22) (fun () -> Lifecycle.retire lc ~tenant:id);
           (* Post-retire spawn: the drain gate must refuse it. *)
           at sys (Time_ns.ms 23) (fun () ->
               System.spawn_cp ~tenant:id sys
-                (cp_task sys ~tenant:id ~work:(Time_ns.ms 1)
-                   ~name:"depart-late")))
+                (synth_task sys ~stream:"churn-" ~tenant:id
+                   ~work:(Time_ns.ms 1) ~name:"depart-late")))
 
 let drive_flap sys lc =
   for i = 0 to 3 do
@@ -234,25 +172,7 @@ let drive_refusal sys lc =
         ~on_abandoned:(fun _ -> ()))
 
 let drive_chaos sys lc inj ~until =
-  let tc = Option.get (System.taichi sys) in
-  Injector.attach_table inj (Taichi.state_table tc);
-  let probe = Taichi.hw_probe tc in
-  Hw_probe.set_suppressor probe
-    (Some (fun ~core -> Injector.probe_suppress inj ~core));
-  Injector.set_probe_misfire inj (fun ~core -> Hw_probe.misfire probe ~core);
-  let hang_lock = Task.spinlock "churn-dev" in
-  let hangs = ref 0 in
-  Injector.set_cp_hang inj (fun ~hold ->
-      incr hangs;
-      System.spawn_cp sys (hang_task ~lock:hang_lock ~hold ~n:!hangs));
-  let client = System.client sys in
-  let dp_cores = Array.of_list (System.dp_cores sys) in
-  let burst_rng = Rng.split (System.rng sys) "churn-burst" in
-  Injector.set_dp_burst inj (fun ~size ->
-      for _ = 1 to size do
-        let core = dp_cores.(Rng.int burst_rng (Array.length dp_cores)) in
-        Client.submit_background client ~kind:Packet.Net_rx ~size:1400 ~core
-      done);
+  wire_injector sys inj ~prefix:"churn";
   (* The three churn fault classes. [live] is this cell's view of the
      dynamic population (scoped to the closure — no module state). *)
   let next = ref 0 and live = ref [] in
@@ -341,13 +261,10 @@ let measure ctx ~seed ~scale ~key ~scenario =
           (fun tid ->
             let tenant = Tenant.get table tid in
             let hist = victim_hist sys ~tenant:tid in
-            let packets = Histogram.count hist in
             {
               vname = tenant.Tenant.name;
-              packets;
-              p99_us =
-                (if packets = 0 then 0.0
-                 else float_of_int (Histogram.percentile hist 99.0) /. 1e3);
+              packets = Histogram.count hist;
+              p99_us = p99_us hist;
               bound_us = float_of_int tenant.Tenant.dp_p99_bound /. 1e3;
             })
           [ 0; 1 ]
@@ -382,7 +299,7 @@ let measure ctx ~seed ~scale ~key ~scenario =
 let spares = 4 (* Config.with_churn defaults, pinned by the pool oracles *)
 let floats = 2
 
-let check_oracles cells repeat_fp =
+let check_oracles cells =
   let fail fmt = Printf.ksprintf failwith fmt in
   List.iter
     (fun c ->
@@ -473,14 +390,7 @@ let check_oracles cells repeat_fp =
               "exp_churn[%s]: no drain-window overrun was forced under the \
                churn fault profile"
               c.key)
-    cells;
-  match repeat_fp with
-  | Some (first, second) when first <> second ->
-      failwith
-        (Printf.sprintf
-           "exp_churn: repeat run at the same seed diverged (%s vs %s)" first
-           second)
-  | _ -> ()
+    cells
 
 (* --- the grid ------------------------------------------------------------ *)
 
@@ -499,20 +409,15 @@ let grid =
     cell "repeat-flap" "determinism repeat: 4 rapid flaps" `Repeat;
   ]
 
+let profile_names = [ "steady"; "flap"; "chaos" ]
+
 (* The CI matrix pins one profile per job; the CLI turns --churn-profile
    into a cell filter over these keys (the repeat cell rides with the
    flap profile). *)
-let profile_filter setting cell =
-  let prefix s =
-    let k = cell.Exp_desc.key in
-    let n = String.length s in
-    String.length k >= n && String.sub k 0 n = s
-  in
-  match setting with
-  | "steady" -> prefix "steady-"
-  | "flap" -> prefix "flap-" || prefix "repeat-flap"
-  | "chaos" -> prefix "chaos-"
-  | p -> failwith (Printf.sprintf "exp_churn: unknown churn profile %S" p)
+let profile_filter profile cell =
+  let key = cell.Exp_desc.key in
+  String.starts_with ~prefix:(profile ^ "-") key
+  || (profile = "flap" && key = "repeat-flap")
 
 let churn =
   Exp_desc.make ~name:"churn"
@@ -525,12 +430,9 @@ let churn =
        capped backoff, graceful drain with watchdog-forced escalation, \
        pool restoration, victim p99 contracts and the zero-orphan drain \
        audit, including a chaos-under-churn fault profile"
-    ~cells:(List.map fst grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      match
-        List.assoc cell.Exp_desc.key
-          (List.map (fun (c, v) -> (c.Exp_desc.key, v)) grid)
-      with
+    ~grid
+    ~run_cell:(fun ctx ~seed ~scale cell point ->
+      match point with
       | `Point scenario ->
           Run_ctx.printf ctx "\n-- %s: %s (seed %d)\n" cell.Exp_desc.key
             cell.Exp_desc.label seed;
@@ -540,16 +442,7 @@ let churn =
             "\n-- determinism check: repeating flap-thrash (seed %d)\n" seed;
           measure ctx ~seed ~scale ~key:"repeat-flap" ~scenario:Flap)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let outcome key =
-        List.assoc_opt key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
-      let cells =
-        List.filter_map
-          (fun (c, r) ->
-            if c.Exp_desc.key = "repeat-flap" then None else Some r)
-          results
-      in
+      let cells = results_except "repeat-flap" results in
       let table =
         Table.create
           ~columns:
@@ -590,12 +483,11 @@ let churn =
             ])
         cells;
       Run_ctx.print_table ctx table;
-      let repeat_fp =
-        match (outcome "flap-thrash", outcome "repeat-flap") with
-        | Some first, Some again -> Some (first.fingerprint, again.fingerprint)
-        | _ -> None
-      in
-      check_oracles cells repeat_fp;
+      check_oracles cells;
+      check_repeat ~experiment:"exp_churn" ~base:"flap-thrash"
+        ~repeat:"repeat-flap"
+        (fun o -> o.fingerprint)
+        results;
       Run_ctx.printf ctx
         "\nEvery drain completed (forced only where provoked), refusals \
          were retried across departures, victims kept their p99 contracts \

@@ -12,7 +12,10 @@
 
 val churn : Exp_desc.t
 
+val profile_names : string list
+(** The churn profiles, by name: the values [--churn-profile] accepts. *)
+
 val profile_filter : string -> Exp_desc.cell -> bool
-(** [profile_filter setting cell] is the [--churn-profile] CLI filter:
+(** [profile_filter profile cell] is the [--churn-profile] CLI filter:
     ["steady"], ["flap"] (which also keeps the determinism repeat cell)
-    or ["chaos"]. Fails on any other setting. *)
+    or ["chaos"]. *)

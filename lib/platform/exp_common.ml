@@ -2,6 +2,9 @@ open Taichi_engine
 open Taichi_hw
 open Taichi_os
 open Taichi_accel
+open Taichi_core
+open Taichi_faults
+open Taichi_dataplane
 open Taichi_workloads
 open Taichi_controlplane
 
@@ -25,8 +28,7 @@ let harvest_run ~ctx ~seed sys =
   let machine = System.machine sys in
   let table = System.tenants sys in
   let tenants =
-    if Taichi_core.Tenant.is_multi table then Taichi_core.Tenant.ids table
-    else []
+    if Tenant.is_multi table then Tenant.ids table else []
   in
   let run =
     Taichi_metrics.Export.make_run ~tenants
@@ -98,21 +100,170 @@ let with_system ?layout ?prepare ?(ctx = Run_ctx.default) ~seed policy f =
   if Run_ctx.tracing ctx then harvest_run ~ctx ~seed sys;
   result
 
-let start_bg_dp ?storage_target sys ~target ~until =
+(* --- building blocks the drivers share --------------------------------- *)
+
+let versus_taichi points ~key ~label =
+  List.concat_map
+    (fun p ->
+      List.map
+        (fun (tag, policy) ->
+          ( {
+              Exp_desc.key = Printf.sprintf "%s-%s" (key p) tag;
+              label = Printf.sprintf "%s, %s" (label p) (Policy.name policy);
+            },
+            (p, policy) ))
+        [
+          ("base", Policy.Static_partition); ("taichi", Policy.taichi_default);
+        ])
+    points
+
+let guardrail = Config.default.Config.overload_p99_bound
+
+let p99_us hist =
+  if Histogram.count hist = 0 then 0.0
+  else float_of_int (Histogram.percentile hist 99.0) /. 1e3
+
+let lifecycle_of sys =
+  match System.lifecycle sys with
+  | Some lc -> lc
+  | None -> failwith "lifecycle_of: the policy built no churn lifecycle"
+
+let tenant_dp_cores sys ~tenant =
+  List.filter_map
+    (fun dp ->
+      if Dp_service.tenant dp = tenant then Some (Dp_service.core dp) else None)
+    (System.services sys)
+
+(* Bgload schedules its per-core streams in list order, so [cores] keeps
+   the caller's order within each core kind. *)
+let start_dp_load sys ~rng ~cores ~net ~storage ~until =
   let client = System.client sys in
-  let rng = Rng.split (System.rng sys) "bg-dp" in
-  let storage_target = Option.value storage_target ~default:target in
+  let of_kind kind_cores = List.filter (fun c -> List.mem c kind_cores) cores in
   Bgload.start client rng
-    ~params:(Bgload.default_params ~target_util:target)
-    ~cores:(System.net_cores sys) ~kind:Packet.Net_rx ~size:1400 ~until;
+    ~params:(Bgload.default_params ~target_util:net)
+    ~cores:(of_kind (System.net_cores sys))
+    ~kind:Packet.Net_rx ~size:1400 ~until;
   Bgload.start client rng
     ~params:
       {
-        (Bgload.default_params ~target_util:storage_target) with
+        (Bgload.default_params ~target_util:storage) with
         Bgload.per_packet_est = Time_ns.ns 5200;
       }
-    ~cores:(System.storage_cores sys) ~kind:Packet.Storage_read ~size:4096
+    ~cores:(of_kind (System.storage_cores sys))
+    ~kind:Packet.Storage_read ~size:4096 ~until
+
+let start_bg_dp ?storage_target sys ~target ~until =
+  start_dp_load sys
+    ~rng:(Rng.split (System.rng sys) "bg-dp")
+    ~cores:(System.dp_cores sys) ~net:target
+    ~storage:(Option.value storage_target ~default:target)
     ~until
+
+let vm_params sys ~rng ~density =
+  let p =
+    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
+  in
+  {
+    p with
+    Vm_lifecycle.device =
+      {
+        p.Vm_lifecycle.device with
+        Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
+      };
+  }
+
+let vm_storm ?tenant sys ~rng ~density ~locks ~name ~recorder =
+  let sim = System.sim sys in
+  let locks =
+    List.init 8 (fun i -> Task.spinlock (Printf.sprintf "%s-%d" locks i))
+  in
+  let params = vm_params sys ~rng ~density in
+  List.init
+    (max 1 (int_of_float (10.0 *. density)))
+    (fun i ->
+      Vm_lifecycle.startup_task ?tenant ~sim ~rng ~params ~locks ~affinity:[]
+        ~name:(Printf.sprintf "%s-%d" name i)
+        ~recorder ())
+
+let spawn_staggered ?tenant sys ~spread tasks =
+  let sim = System.sim sys in
+  let gap = spread / max 1 (List.length tasks) in
+  List.iteri
+    (fun i task ->
+      ignore
+        (Sim.after sim (gap * i) (fun () ->
+             System.spawn_cp ~cls:Overload.Standard ?tenant sys task)))
+    tasks
+
+let synth_task sys ~stream ~tenant ~work ~name =
+  let rng = Rng.split (System.rng sys) (stream ^ name) in
+  let params =
+    { Synth_cp.default_params with Synth_cp.total_work = work; phases = 3 }
+  in
+  Synth_cp.make ~tenant ~rng ~params ~locks:[] ~affinity:[] ~name ()
+
+let spawn_synth sys ~stream ~tenant ~count ~work ~tag =
+  for i = 1 to count do
+    System.spawn_cp ~tenant sys
+      (synth_task sys ~stream ~tenant ~work
+         ~name:(Printf.sprintf "%s-%d-%d" tag tenant i))
+  done
+
+let dp_burst sys rng n =
+  let client = System.client sys in
+  let dp_cores = Array.of_list (System.dp_cores sys) in
+  for _ = 1 to n do
+    let core = dp_cores.(Rng.int rng (Array.length dp_cores)) in
+    Client.submit_background client ~kind:Packet.Net_rx ~size:1400 ~core
+  done
+
+(* A control-plane task that grabs a device lock and sits in a
+   non-preemptible kernel routine for [hold] — the §3.2 pathology the
+   CP-hang stream injects on demand. *)
+let hang_task ~name ~lock ~hold =
+  let stage = ref 0 in
+  Task.create ~name
+    ~step:(fun _ ->
+      let s = !stage in
+      incr stage;
+      match s with
+      | 0 -> Task.Acquire lock
+      | 1 -> Task.Run { duration = hold; mode = Task.Kernel_nonpreemptible }
+      | 2 -> Task.Release lock
+      | _ -> Task.Exit)
+    ()
+
+let wire_injector sys inj ~prefix =
+  let tc = Option.get (System.taichi sys) in
+  Injector.attach_table inj (Taichi.state_table tc);
+  let probe = Taichi.hw_probe tc in
+  Hw_probe.set_suppressor probe
+    (Some (fun ~core -> Injector.probe_suppress inj ~core));
+  Injector.set_probe_misfire inj (fun ~core -> Hw_probe.misfire probe ~core);
+  let lock = Task.spinlock (prefix ^ "-dev") in
+  let hangs = ref 0 in
+  Injector.set_cp_hang inj (fun ~hold ->
+      incr hangs;
+      System.spawn_cp sys
+        (hang_task ~name:(Printf.sprintf "%s-hang-%d" prefix !hangs) ~lock
+           ~hold));
+  let burst_rng = Rng.split (System.rng sys) (prefix ^ "-burst") in
+  Injector.set_dp_burst inj (fun ~size -> dp_burst sys burst_rng size)
+
+let results_except key results =
+  List.filter_map
+    (fun (c, r) -> if c.Exp_desc.key = key then None else Some r)
+    results
+
+let check_repeat ~experiment ~base ~repeat fingerprint results =
+  match
+    (Exp_desc.result_opt results base, Exp_desc.result_opt results repeat)
+  with
+  | Some first, Some again when fingerprint first <> fingerprint again ->
+      failwith
+        (Printf.sprintf "%s: repeat run at the same seed diverged (%s vs %s)"
+           experiment (fingerprint first) (fingerprint again))
+  | _ -> ()
 
 (* Health monitors and log flushers are the admissions that must never be
    throttled: they are what tells the operator the NIC is overloaded. *)
@@ -120,7 +271,7 @@ let start_bg_cp sys =
   let rng = Rng.split (System.rng sys) "bg-cp" in
   let tasks = Monitor.standard_background ~rng ~affinity:[] () in
   List.iter
-    (fun task -> System.spawn_cp ~cls:Taichi_core.Overload.Critical sys task)
+    (fun task -> System.spawn_cp ~cls:Overload.Critical sys task)
     tasks
 
 let start_cp_ecosystem sys ?(tasks = 48) ?(target_util = 1.8) () =
@@ -159,7 +310,7 @@ let start_cp_churn sys ~period ~work ~until =
             ~name:(Printf.sprintf "churn-%d" !counter)
             ()
         in
-        System.spawn_cp ~cls:Taichi_core.Overload.Deferrable sys task
+        System.spawn_cp ~cls:Overload.Deferrable sys task
       end;
       ignore (Sim.after sim period tick)
     end

@@ -6,10 +6,6 @@ open Taichi_workloads
 open Taichi_controlplane
 open Exp_common
 
-let param table cell = List.assoc cell.Exp_desc.key table
-let result results key =
-  List.assoc key (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-
 (* Worst data-plane disruption a bursty non-preemptible control-plane load
    can cause under a policy: max ping RTT minus baseline min. *)
 let worst_disruption ctx ~seed policy =
@@ -77,13 +73,9 @@ let table1 =
     ~description:
       "Worst measured DP disruption under measured analogues of prior \
        co-scheduling mechanism families vs Tai Chi"
-    ~cells:(List.map fst table1_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
-      let name, policy, overhead, transparency =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) table1_grid) cell
-      in
-      let us = worst_disruption ctx ~seed policy in
-      (name, us, overhead, transparency))
+    ~grid:table1_grid
+    ~run_cell:(fun ctx ~seed ~scale:_ _cell (name, policy, overhead, transp) ->
+      (name, worst_disruption ctx ~seed policy, overhead, transp))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let table =
         Table.create
@@ -140,14 +132,11 @@ let table2 =
     ~description:
       "Qualitative type-1 / type-2 / Tai Chi comparison anchored on measured \
        DP performance"
-    ~cells:(List.map fst table2_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
-      let policy =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) table2_grid) cell
-      in
+    ~grid:table2_grid
+    ~run_cell:(fun ctx ~seed ~scale:_ _cell policy ->
       quick_cps ctx ~seed policy)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let base = result results "base" in
+      let base = Exp_desc.result results "base" in
       let pct v = Printf.sprintf "%.1f%% of baseline" (v /. base *. 100.0) in
       let table =
         Table.create
@@ -164,9 +153,9 @@ let table2 =
       Table.add_row table
         [
           "DP performance";
-          pct (result results "type1");
-          pct (result results "type2");
-          pct (result results "taichi");
+          pct (Exp_desc.result results "type1");
+          pct (Exp_desc.result results "type2");
+          pct (Exp_desc.result results "taichi");
         ];
       Table.add_row table
         [ "CP residency"; "guest context"; "guest OS"; "SmartNIC OS (vCPU)" ];

@@ -4,8 +4,6 @@ open Taichi_metrics
 open Taichi_controlplane
 open Exp_common
 
-let param table cell = List.assoc cell.Exp_desc.key table
-
 (* --- Fig 11 --------------------------------------------------------------- *)
 
 let synth_run ctx sys ~concurrency =
@@ -29,21 +27,9 @@ let concurrencies = [ 1; 2; 4; 8; 16; 32 ]
    on-phase seconds run at ~25-30%. *)
 let fig11_dp_target = 0.12
 
-let policy_tag = function Policy.Static_partition -> "base" | _ -> "taichi"
-
 let fig11_grid =
-  List.concat_map
-    (fun conc ->
-      List.map
-        (fun policy ->
-          ( {
-              Exp_desc.key = Printf.sprintf "c%d-%s" conc (policy_tag policy);
-              label =
-                Printf.sprintf "concurrency %d, %s" conc (Policy.name policy);
-            },
-            (conc, policy) ))
-        [ Policy.Static_partition; Policy.taichi_default ])
-    concurrencies
+  versus_taichi concurrencies ~key:(Printf.sprintf "c%d")
+    ~label:(Printf.sprintf "concurrency %d")
 
 let fig11 =
   Exp_desc.make ~name:"fig11"
@@ -51,11 +37,8 @@ let fig11 =
     ~description:
       "Average synth_cp execution time vs concurrency, baseline vs Tai Chi, \
        with the data plane held at 30% utilization"
-    ~cells:(List.map fst fig11_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
-      let conc, policy =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) fig11_grid) cell
-      in
+    ~grid:fig11_grid
+    ~run_cell:(fun ctx ~seed ~scale:_ _cell (conc, policy) ->
       with_system ~ctx ~seed policy (fun sys ->
           let until = Sim.now (System.sim sys) + Time_ns.sec 30 in
           start_bg_dp sys ~target:fig11_dp_target ~until;
@@ -64,10 +47,7 @@ let fig11 =
           start_cp_ecosystem sys ();
           synth_run ctx sys ~concurrency:conc))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let ms key =
-        List.assoc key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
+      let ms = Exp_desc.result results in
       let table =
         Table.create
           ~columns:
@@ -96,31 +76,11 @@ let fig11 =
 (* --- Fig 17 --------------------------------------------------------------- *)
 
 let storm sys ~density =
-  let sim = System.sim sys in
-  let rng = Rng.split (System.rng sys) "fig17" in
-  let locks =
-    List.init 8 (fun i -> Task.spinlock (Printf.sprintf "device-driver-%d" i))
-  in
   let recorder = Recorder.create "vm.startup" in
-  let params =
-    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
-  let n_vms = max 1 (int_of_float (10.0 *. density)) in
   let tasks =
-    List.init n_vms (fun i ->
-        Vm_lifecycle.startup_task ~sim ~rng ~params ~locks ~affinity:[]
-          ~name:(Printf.sprintf "vm-%d" i)
-          ~recorder ())
+    vm_storm sys
+      ~rng:(Rng.split (System.rng sys) "fig17")
+      ~density ~locks:"device-driver" ~name:"vm" ~recorder
   in
   List.iter (fun task -> System.spawn_cp sys task) tasks;
   ignore (System.run_until_tasks_done sys tasks ~limit:(Time_ns.sec 60));
@@ -129,19 +89,8 @@ let storm sys ~density =
 let fig17_densities = [ 1.0; 2.0; 3.0; 4.0 ]
 
 let fig17_grid =
-  List.concat_map
-    (fun density ->
-      List.map
-        (fun policy ->
-          ( {
-              Exp_desc.key =
-                Printf.sprintf "d%.0f-%s" density (policy_tag policy);
-              label =
-                Printf.sprintf "density %.0fx, %s" density (Policy.name policy);
-            },
-            (density, policy) ))
-        [ Policy.Static_partition; Policy.taichi_default ])
-    fig17_densities
+  versus_taichi fig17_densities ~key:(Printf.sprintf "d%.0f")
+    ~label:(Printf.sprintf "density %.0fx")
 
 let fig17 =
   Exp_desc.make ~name:"fig17"
@@ -149,21 +98,15 @@ let fig17 =
     ~description:
       "Average VM startup time vs instance density, with and without \
        Tai Chi, normalized to the CP SLO"
-    ~cells:(List.map fst fig17_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
-      let density, policy =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) fig17_grid) cell
-      in
+    ~grid:fig17_grid
+    ~run_cell:(fun ctx ~seed ~scale:_ _cell (density, policy) ->
       with_system ~ctx ~seed policy (fun sys ->
           let until = Sim.now (System.sim sys) + Time_ns.sec 60 in
           start_bg_dp sys ~target:fig11_dp_target ~until;
           start_cp_ecosystem sys ();
           storm sys ~density))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let ms key =
-        List.assoc key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
+      let ms = Exp_desc.result results in
       let slo_ms = Time_ns.to_ms_f Vm_lifecycle.slo in
       let table =
         Table.create

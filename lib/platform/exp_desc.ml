@@ -10,7 +10,8 @@
 
    The result type ['r] is existential: each driver picks its own, and the
    pack guarantees [summarize] only ever sees results produced by its own
-   [run_cell]. *)
+   [run_cell]. [make] hides the grid's point type the same way: the packed
+   [run_cell] looks the point up by the cell's key. *)
 
 type cell = { key : string; label : string }
 
@@ -26,33 +27,43 @@ type t =
     }
       -> t
 
-let make ~name ~title ~description ~cells ~run_cell ~summarize =
+let result_opt results key =
+  List.find_map (fun (c, r) -> if c.key = key then Some r else None) results
+
+let result results key =
+  match result_opt results key with Some r -> r | None -> raise Not_found
+
+let make ~name ~title ~description ~grid ~run_cell ~summarize =
   ignore
     (List.fold_left
-       (fun seen c ->
+       (fun seen (c, _) ->
          if List.mem c.key seen then
            invalid_arg
              (Printf.sprintf "Exp_desc.make: duplicate cell key %S in %s" c.key
                 name)
          else c.key :: seen)
-       [] cells);
-  T { name; title; description; cells; run_cell; summarize }
-
-(* A one-cell experiment: the driver does all its printing through the
-   cell context and there is nothing to merge. *)
-let single ~name ~title ~description run =
+       [] grid);
   T
     {
       name;
       title;
       description;
-      cells = [ { key = "all"; label = title } ];
-      run_cell = (fun ctx ~seed ~scale _cell -> run ctx ~seed ~scale);
-      summarize = (fun _ctx ~seed:_ ~scale:_ _results -> ());
+      cells = List.map fst grid;
+      run_cell =
+        (fun ctx ~seed ~scale cell ->
+          run_cell ctx ~seed ~scale cell (result grid cell.key));
+      summarize;
     }
 
+(* A one-cell experiment: the driver does all its printing through the
+   cell context and there is nothing to merge. *)
+let single ~name ~title ~description run =
+  make ~name ~title ~description
+    ~grid:[ ({ key = "all"; label = title }, ()) ]
+    ~run_cell:(fun ctx ~seed ~scale _cell () -> run ctx ~seed ~scale)
+    ~summarize:(fun _ctx ~seed:_ ~scale:_ _results -> ())
+
 let name (T d) = d.name
-let title (T d) = d.title
 let description (T d) = d.description
 let cells (T d) = d.cells
 let cell_count (T d) = List.length d.cells

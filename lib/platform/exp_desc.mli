@@ -32,11 +32,22 @@ val make :
   name:string ->
   title:string ->
   description:string ->
-  cells:cell list ->
-  run_cell:(Run_ctx.t -> seed:int -> scale:float -> cell -> 'r) ->
+  grid:(cell * 'p) list ->
+  run_cell:(Run_ctx.t -> seed:int -> scale:float -> cell -> 'p -> 'r) ->
   summarize:(Run_ctx.t -> seed:int -> scale:float -> (cell * 'r) list -> unit) ->
   t
-(** Pack a descriptor. Raises [Invalid_argument] on duplicate cell keys. *)
+(** Pack a descriptor from its grid: each cell with its typed point. The
+    cells run in grid order, and [run_cell] receives the point declared
+    with the cell it is handed. Raises [Invalid_argument] on duplicate
+    cell keys. *)
+
+val result : (cell * 'r) list -> string -> 'r
+(** [result results key] is the result of the cell with [key], for
+    [summarize]. Raises [Not_found] when that cell did not run. *)
+
+val result_opt : (cell * 'r) list -> string -> 'r option
+(** Like {!result}, but [None] for a cell that did not run (filtered
+    out, for example). *)
 
 val single :
   name:string ->
@@ -48,7 +59,6 @@ val single :
     the context). *)
 
 val name : t -> string
-val title : t -> string
 val description : t -> string
 val cells : t -> cell list
 val cell_count : t -> int

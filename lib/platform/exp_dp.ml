@@ -7,10 +7,6 @@ open Taichi_workloads
 open Taichi_controlplane
 open Exp_common
 
-let param table cell = List.assoc cell.Exp_desc.key table
-let result results key =
-  List.assoc key (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-
 (* Standard control-plane pressure during data-plane benchmarks: the
    long-lived background plus bursty short tasks offering more work than
    the dedicated CP cores can absorb, so Tai Chi has sustained vCPU demand
@@ -41,13 +37,8 @@ let fig12 =
     ~description:
       "netperf tcp_crr connections/s across baseline / Tai Chi / Tai Chi-vDP \
        / type-2"
-    ~cells:(List.map fst four_system_cells)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let policy =
-        param
-          (List.map (fun (c, p) -> (c.Exp_desc.key, p)) four_system_cells)
-          cell
-      in
+    ~grid:four_system_cells
+    ~run_cell:(fun ctx ~seed ~scale _cell policy ->
       let dur = scaled scale (Time_ns.ms 400) in
       with_system ~ctx ~seed policy (fun sys ->
           let sim = System.sim sys in
@@ -100,13 +91,8 @@ let fig13 =
   Exp_desc.make ~name:"fig13"
     ~title:"Figure 13: fio 4KiB IOPS across four systems"
     ~description:"fio 4 KiB random-read IOPS across the same four systems"
-    ~cells:(List.map fst four_system_cells)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let policy =
-        param
-          (List.map (fun (c, p) -> (c.Exp_desc.key, p)) four_system_cells)
-          cell
-      in
+    ~grid:four_system_cells
+    ~run_cell:(fun ctx ~seed ~scale _cell policy ->
       let dur = scaled scale (Time_ns.ms 400) in
       let params = Fio.default_params in
       with_system ~ctx ~seed policy (fun sys ->
@@ -168,11 +154,8 @@ let table5 =
     ~description:
       "ping RTT: baseline vs Tai Chi vs Tai Chi without the hardware \
        workload probe"
-    ~cells:(List.map fst table5_grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let name, policy =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) table5_grid) cell
-      in
+    ~grid:table5_grid
+    ~run_cell:(fun ctx ~seed ~scale _cell (name, policy) ->
       let count = max 400 (int_of_float (3000.0 *. scale)) in
       let summary =
         with_system ~ctx ~seed policy (fun sys ->
@@ -304,18 +287,7 @@ let fig14_case ctx ~seed ~scale policy case =
           fun () -> [ (Sockperf.udp_summary r).Sockperf.avg_us ])
   | case -> invalid_arg ("fig14: unknown case " ^ case)
 
-let fig14_grid =
-  List.concat_map
-    (fun case ->
-      List.map
-        (fun (tag, policy) ->
-          ( {
-              Exp_desc.key = Printf.sprintf "%s-%s" case tag;
-              label = Printf.sprintf "%s, %s" case (Policy.name policy);
-            },
-            (case, policy) ))
-        [ ("base", Policy.Static_partition); ("taichi", Policy.taichi_default) ])
-    fig14_runs
+let fig14_grid = versus_taichi fig14_runs ~key:Fun.id ~label:Fun.id
 
 let fig14_cases =
   [ "udp_stream(rx_pps)"; "tcp_stream(rx_pps)"; "tcp_stream(tx_pps)";
@@ -327,16 +299,14 @@ let fig14 =
     ~description:
       "Normalized netperf/sockperf performance under Tai Chi vs the static \
        baseline, six microbenchmark cases"
-    ~cells:(List.map fst fig14_grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let case, policy =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) fig14_grid) cell
-      in
+    ~grid:fig14_grid
+    ~run_cell:(fun ctx ~seed ~scale _cell (case, policy) ->
       fig14_case ctx ~seed ~scale policy case)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let vals tag =
         List.concat_map
-          (fun case -> result results (Printf.sprintf "%s-%s" case tag))
+          (fun case ->
+            Exp_desc.result results (Printf.sprintf "%s-%s" case tag))
           fig14_runs
       in
       let base = vals "base" and taichi = vals "taichi" in
@@ -381,13 +351,8 @@ let fig15 =
   Exp_desc.make ~name:"fig15"
     ~title:"Figure 15: MySQL (192 sysbench threads) under Tai Chi"
     ~description:"MySQL (sysbench) throughput under Tai Chi vs baseline"
-    ~cells:(List.map fst two_policy_cells)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let policy =
-        param
-          (List.map (fun (c, p) -> (c.Exp_desc.key, p)) two_policy_cells)
-          cell
-      in
+    ~grid:two_policy_cells
+    ~run_cell:(fun ctx ~seed ~scale _cell policy ->
       let dur = scaled scale (Time_ns.sec 4) in
       with_system ~ctx ~seed policy (fun sys ->
           let sim = System.sim sys in
@@ -403,7 +368,8 @@ let fig15 =
           System.advance sys (dur + Time_ns.ms 5);
           Mysql.metrics r))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let b = result results "base" and t = result results "taichi" in
+      let b = Exp_desc.result results "base"
+      and t = Exp_desc.result results "taichi" in
       let table =
         Table.create
           ~columns:
@@ -433,28 +399,14 @@ let fig15 =
 (* --- Fig 16: Nginx ----------------------------------------------------------- *)
 
 let fig16_grid =
-  List.concat_map
-    (fun (proto_tag, proto) ->
-      List.map
-        (fun (tag, policy) ->
-          ( {
-              Exp_desc.key = Printf.sprintf "%s-%s" proto_tag tag;
-              label =
-                Printf.sprintf "%s, %s" proto_tag (Policy.name policy);
-            },
-            (proto, policy) ))
-        [ ("base", Policy.Static_partition); ("taichi", Policy.taichi_default) ])
-    [ ("http", `Http); ("https", `Https) ]
+  versus_taichi [ ("http", `Http); ("https", `Https) ] ~key:fst ~label:fst
 
 let fig16 =
   Exp_desc.make ~name:"fig16"
     ~title:"Figure 16: Nginx requests/s under Tai Chi (10k connections)"
     ~description:"Nginx (wrk) requests per second under Tai Chi vs baseline"
-    ~cells:(List.map fst fig16_grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let proto, policy =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) fig16_grid) cell
-      in
+    ~grid:fig16_grid
+    ~run_cell:(fun ctx ~seed ~scale _cell ((_, proto), policy) ->
       let dur = scaled scale (Time_ns.sec 1) in
       with_system ~ctx ~seed policy (fun sys ->
           let sim = System.sim sys in
@@ -485,8 +437,8 @@ let fig16 =
       in
       List.iter
         (fun name ->
-          let b = result results (name ^ "-base") in
-          let t = result results (name ^ "-taichi") in
+          let b = Exp_desc.result results (name ^ "-base") in
+          let t = Exp_desc.result results (name ^ "-taichi") in
           let shown = if name = "https" then "https_short" else name in
           Table.add_row table
             [
@@ -525,11 +477,8 @@ let sec8 =
     ~description:
       "Reallocate 50% of CP pCPUs to the data plane via Tai Chi's dynamic \
        partitioning: peak IOPS / CPS gains with unchanged CP performance"
-    ~cells:(List.map fst sec8_grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      let kind, layout =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) sec8_grid) cell
-      in
+    ~grid:sec8_grid
+    ~run_cell:(fun ctx ~seed ~scale _cell (kind, layout) ->
       match kind with
       | `Peak ->
           let dur = scaled scale (Time_ns.ms 400) in
@@ -563,12 +512,12 @@ let sec8 =
               Cp_time (avg_turnaround_ms tasks)))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let peak key =
-        match result results key with
+        match Exp_desc.result results key with
         | Peak (cps, iops) -> (cps, iops)
         | Cp_time _ -> (0.0, 0.0)
       in
       let cp key =
-        match result results key with Cp_time ms -> ms | Peak _ -> 0.0
+        match Exp_desc.result results key with Cp_time ms -> ms | Peak _ -> 0.0
       in
       let cps0, iops0 = peak "peak-4cp" in
       let cps1, iops1 = peak "peak-2cp" in

@@ -52,9 +52,7 @@ let params_of ~scale pt =
   }
 
 let measure ctx ~seed ~scale ~key pt =
-  let rep = Fleet_run.run ~ctx ~seed (params_of ~scale pt) in
-  ignore ctx;
-  { key; point = pt; rep }
+  { key; point = pt; rep = Fleet_run.run ~ctx ~seed (params_of ~scale pt) }
 
 (* --- oracles -------------------------------------------------------------- *)
 
@@ -65,7 +63,7 @@ let committed_names_of rep ~from_nic =
       else None)
     rep.Fleet_run.r_committed
 
-let check_oracles cells repeat_fp =
+let check_oracles cells =
   let fail fmt = Printf.ksprintf failwith fmt in
   List.iter
     (fun c ->
@@ -187,23 +185,18 @@ let check_oracles cells repeat_fp =
           "exp_fleet: governor-on fleet attainment %.2f < governor-off \
            %.2f"
           on.rep.Fleet_run.r_attainment off.rep.Fleet_run.r_attainment
-  | _ -> ());
-  match repeat_fp with
-  | Some (first, second) when first <> second ->
-      failwith
-        (Printf.sprintf
-           "exp_fleet: repeat run at the same seed diverged (%s vs %s)"
-           first second)
-  | _ -> ()
+  | _ -> ())
 
 (* --- the grid ------------------------------------------------------------- *)
 
+let pt nics governor failover faults = { nics; governor; failover; faults }
+let primary = pt 8 true true (mid_crash ~crashes:1)
+
 let grid =
   let cell key label v = ({ Exp_desc.key; label }, v) in
-  let pt nics governor failover faults = { nics; governor; failover; faults } in
   [
     cell "n8-gov_on-fo_on" "8 NICs, 1 crash, governor on, failover on"
-      (`Point (pt 8 true true (mid_crash ~crashes:1)));
+      (`Point primary);
     cell "n8-gov_off-fo_on" "8 NICs, 1 crash, governor off, failover on"
       (`Point (pt 8 false true (mid_crash ~crashes:1)));
     cell "n8-gov_on-fo_off" "8 NICs, 1 crash, failover off (loss accounting)"
@@ -218,22 +211,17 @@ let grid =
       `Repeat;
   ]
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+let point_of = function `Point pt -> pt | `Repeat -> primary
+
+let nic_counts =
+  List.sort_uniq compare (List.map (fun (_, v) -> (point_of v).nics) grid)
 
 (* The CI matrix pins (nics, failover) per job; the CLI turns --nics and
-   --failover into cell filters over these keys (the repeat cell rides
-   with its base cell's settings). *)
-let nics_filter n cell =
-  contains ~needle:(Printf.sprintf "n%d-" n) cell.Exp_desc.key
-
-let failover_filter setting cell =
-  match setting with
-  | "on" -> contains ~needle:"fo_on" cell.Exp_desc.key
-  | "off" -> contains ~needle:"fo_off" cell.Exp_desc.key
-  | s -> failwith (Printf.sprintf "exp_fleet: unknown failover setting %S" s)
+   --failover into cell filters over the grid points (the repeat cell
+   rides with its base cell's settings). *)
+let point_filter f cell = f (point_of (Exp_desc.result grid cell.Exp_desc.key))
+let nics_filter n = point_filter (fun pt -> pt.nics = n)
+let failover_filter failover = point_filter (fun pt -> pt.failover = failover)
 
 let fleet =
   Exp_desc.make ~name:"fleet"
@@ -246,35 +234,19 @@ let fleet =
        crashes: deterministic epoch exchange, cross-NIC RPC \
        timeout/retry accounting, tenant failover by a reconcile loop over \
        refusable admission, fleet SLO attainment governor on/off"
-    ~cells:(List.map fst grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      match
-        List.assoc cell.Exp_desc.key
-          (List.map (fun (c, v) -> (c.Exp_desc.key, v)) grid)
-      with
-      | `Point pt ->
+    ~grid
+    ~run_cell:(fun ctx ~seed ~scale cell point ->
+      (match point with
+      | `Point _ ->
           Run_ctx.printf ctx "\n-- %s: %s (seed %d)\n" cell.Exp_desc.key
-            cell.Exp_desc.label seed;
-          measure ctx ~seed ~scale ~key:cell.Exp_desc.key pt
+            cell.Exp_desc.label seed
       | `Repeat ->
           Run_ctx.printf ctx
             "\n-- determinism check: repeating n8-gov_on-fo_on (seed %d)\n"
-            seed;
-          measure ctx ~seed ~scale ~key:"repeat-n8-gov_on-fo_on"
-            (let (_, v) = List.hd grid in
-             match v with `Point pt -> pt | `Repeat -> assert false))
+            seed);
+      measure ctx ~seed ~scale ~key:cell.Exp_desc.key (point_of point))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let outcome key =
-        List.assoc_opt key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
-      let cells =
-        List.filter_map
-          (fun (c, r) ->
-            if c.Exp_desc.key = "repeat-n8-gov_on-fo_on" then None
-            else Some r)
-          results
-      in
+      let cells = Exp_common.results_except "repeat-n8-gov_on-fo_on" results in
       let table =
         Table.create
           ~columns:
@@ -316,16 +288,11 @@ let fleet =
             ])
         cells;
       Run_ctx.print_table ctx table;
-      let repeat_fp =
-        match (outcome "n8-gov_on-fo_on", outcome "repeat-n8-gov_on-fo_on")
-        with
-        | Some first, Some again ->
-            Some
-              ( first.rep.Fleet_run.r_fingerprint,
-                again.rep.Fleet_run.r_fingerprint )
-        | _ -> None
-      in
-      check_oracles cells repeat_fp;
+      check_oracles cells;
+      Exp_common.check_repeat ~experiment:"exp_fleet" ~base:"n8-gov_on-fo_on"
+        ~repeat:"repeat-n8-gov_on-fo_on"
+        (fun o -> o.rep.Fleet_run.r_fingerprint)
+        results;
       Run_ctx.printf ctx
         "\nEvery committed tenant on a crashed NIC was re-placed on a \
          survivor (failover on), the governor never cost fleet SLO \

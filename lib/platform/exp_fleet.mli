@@ -31,10 +31,13 @@ val fleet : Exp_desc.t
     points), the faultless integrity cell, the 16-NIC storm cell, and
     the determinism repeat. *)
 
+val nic_counts : int list
+(** The rack widths the grid runs: the values [--nics] accepts. *)
+
 val nics_filter : int -> Exp_desc.cell -> bool
 (** Cell filter keeping the cells whose fleet is [n] NICs wide (the
     CLI's [--nics]); the repeat cell rides with its 8-NIC base cell. *)
 
-val failover_filter : string -> Exp_desc.cell -> bool
-(** Cell filter keeping one failover setting, ["on"] or ["off"] (the
-    CLI's [--failover]). Raises [Failure] on any other setting. *)
+val failover_filter : bool -> Exp_desc.cell -> bool
+(** Cell filter keeping the cells with failover on ([true]) or off (the
+    CLI's [--failover]); the repeat cell rides with its base cell. *)

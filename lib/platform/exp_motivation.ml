@@ -6,41 +6,15 @@ open Taichi_workloads
 open Taichi_controlplane
 open Exp_common
 
-(* Each descriptor keeps a typed side table keyed by cell key; [param]
-   recovers the grid point from the cell the sweep hands back. *)
-let param table cell = List.assoc cell.Exp_desc.key table
-
 (* --- Fig 2 ---------------------------------------------------------------- *)
 
 (* One density point: a storm of concurrent VM creations on the static
    baseline. Returns (avg CP execution ms, avg VM startup ms). *)
-let startup_storm ctx sys ~rng ~density ~vms_base =
-  let sim = System.sim sys in
-  let locks =
-    List.init 8 (fun i -> Task.spinlock (Printf.sprintf "device-driver-%d" i))
-  in
+let startup_storm ctx sys ~rng ~density =
   let recorder = Recorder.create "vm.startup" in
-  let params =
-    Vm_lifecycle.at_density
-      ~base:(Vm_lifecycle.default_params ~rng)
-      density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
-  let n_vms = max 1 (int_of_float (vms_base *. density)) in
   let tasks =
-    List.init n_vms (fun i ->
-        Vm_lifecycle.startup_task ~sim ~rng ~params ~locks ~affinity:[]
-          ~name:(Printf.sprintf "vm-start-%d" i)
-          ~recorder ())
+    vm_storm sys ~rng ~density ~locks:"device-driver" ~name:"vm-start"
+      ~recorder
   in
   List.iter (fun task -> System.spawn_cp sys task) tasks;
   let ok = System.run_until_tasks_done sys tasks ~limit:(Time_ns.sec 60) in
@@ -68,15 +42,14 @@ let fig2 =
     ~description:
       "CP execution time and VM startup degradation vs instance density on \
        the static baseline"
-    ~cells:(List.map fst fig2_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
-      let density = param (List.map (fun (c, d) -> (c.Exp_desc.key, d)) fig2_grid) cell in
+    ~grid:fig2_grid
+    ~run_cell:(fun ctx ~seed ~scale:_ _cell density ->
       with_system ~ctx ~seed Policy.Static_partition (fun sys ->
           let until = Sim.now (System.sim sys) + Time_ns.sec 60 in
           start_bg_dp sys ~target:0.12 ~until;
           start_cp_ecosystem sys ();
           let rng = Rng.split (System.rng sys) "fig2" in
-          let cp, st = startup_storm ctx sys ~rng ~density ~vms_base:10.0 in
+          let cp, st = startup_storm ctx sys ~rng ~density in
           (density, cp, st)))
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
       let results = List.map snd results in
@@ -201,17 +174,11 @@ let fig4 =
     ~description:
       "Worst-case DP latency spike caused by a non-preemptible CP routine, \
        naive co-scheduling vs Tai Chi"
-    ~cells:(List.map fst fig4_grid)
-    ~run_cell:(fun ctx ~seed ~scale:_ cell ->
-      let policy =
-        param (List.map (fun (c, p) -> (c.Exp_desc.key, p)) fig4_grid) cell
-      in
+    ~grid:fig4_grid
+    ~run_cell:(fun ctx ~seed ~scale:_ _cell policy ->
       spike_scenario ctx ~seed policy)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let get key =
-        List.assoc key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
+      let get = Exp_desc.result results in
       let naive, naive_spikes, naive_wait = get "naive" in
       let taichi, taichi_spikes, _ = get "taichi" in
       let table =

@@ -3,10 +3,7 @@ open Taichi_os
 open Taichi_metrics
 open Taichi_core
 open Taichi_virt
-open Taichi_accel
-open Taichi_workloads
 open Taichi_controlplane
-open Taichi_dataplane
 open Exp_common
 
 (* Noisy-neighbour isolation under first-class tenants. The grid spans
@@ -100,65 +97,6 @@ let light_cp sys ~tenant ~dur =
   in
   List.iter (fun task -> System.spawn_cp ~tenant sys task) tasks
 
-(* The fig17 VM-startup storm, owned by one tenant: the whole burst is
-   admitted through that tenant's ladder as Standard work. *)
-let storm sys ~tenant ~density ~spread ~recorder =
-  let sim = System.sim sys in
-  let rng = Rng.split (System.rng sys) "mt-storm" in
-  let locks =
-    List.init 8 (fun i -> Task.spinlock (Printf.sprintf "mt-driver-%d" i))
-  in
-  let params =
-    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
-  let n_vms = max 1 (int_of_float (10.0 *. density)) in
-  let tasks =
-    List.init n_vms (fun i ->
-        Vm_lifecycle.startup_task ~tenant ~sim ~rng ~params ~locks ~affinity:[]
-          ~name:(Printf.sprintf "mt-vm-%d" i)
-          ~recorder ())
-  in
-  let gap = spread / max 1 n_vms in
-  List.iteri
-    (fun i task ->
-      ignore
-        (Sim.after sim (gap * i) (fun () ->
-             System.spawn_cp ~cls:Overload.Standard ~tenant sys task)))
-    tasks;
-  tasks
-
-(* A DP burst confined to the aggressor's own service cores: near-
-   saturating bursty traffic on top of the baseline. *)
-let burst sys ~cores ~until =
-  let client = System.client sys in
-  let rng = Rng.split (System.rng sys) "mt-burst" in
-  let net = List.filter (fun c -> List.mem c (System.net_cores sys)) cores in
-  let sto =
-    List.filter (fun c -> List.mem c (System.storage_cores sys)) cores
-  in
-  if net <> [] then
-    Bgload.start client rng
-      ~params:(Bgload.default_params ~target_util:0.9)
-      ~cores:net ~kind:Packet.Net_rx ~size:1400 ~until;
-  if sto <> [] then
-    Bgload.start client rng
-      ~params:
-        {
-          (Bgload.default_params ~target_util:0.6) with
-          Bgload.per_packet_est = Time_ns.ns 5200;
-        }
-      ~cores:sto ~kind:Packet.Storage_read ~size:4096 ~until
-
 (* --- one cell ------------------------------------------------------------ *)
 
 let measure ctx ~seed ~scale ~key ~specs ~scenario =
@@ -193,13 +131,6 @@ let measure ctx ~seed ~scale ~key ~specs ~scenario =
           (fun v -> if v.Vcpu.tenant = tid then Some v.Vcpu.kcpu else None)
           (Taichi.vcpus tc)
       in
-      let cores_of tid =
-        List.filter_map
-          (fun dp ->
-            if Dp_service.tenant dp = tid then Some (Dp_service.core dp)
-            else None)
-          (System.services sys)
-      in
       let dur = max (Time_ns.ms 100) (scaled scale (Time_ns.ms 120)) in
       let until = Sim.now sim + dur in
       (* Baseline DP traffic on every core. The saturation cells run it
@@ -230,13 +161,28 @@ let measure ctx ~seed ~scale ~key ~specs ~scenario =
             for tid = 0 to n - 2 do
               light_cp sys ~tenant:tid ~dur
             done;
-            storm sys ~tenant:(n - 1) ~density:4.0 ~spread:(dur / 3) ~recorder
+            (* The fig17 VM-startup storm, owned by one tenant: the whole
+               burst is admitted through that tenant's ladder as
+               Standard work. *)
+            let tenant = n - 1 in
+            let tasks =
+              vm_storm ~tenant sys
+                ~rng:(Rng.split (System.rng sys) "mt-storm")
+                ~density:4.0 ~locks:"mt-driver" ~name:"mt-vm" ~recorder
+            in
+            spawn_staggered ~tenant sys ~spread:(dur / 3) tasks;
+            tasks
         | Dpburst ->
             start_bg_cp sys;
             for tid = 0 to n - 1 do
               light_cp sys ~tenant:tid ~dur
             done;
-            burst sys ~cores:(cores_of (n - 1)) ~until;
+            (* A DP burst confined to the aggressor's own service cores:
+               near-saturating bursty traffic on top of the baseline. *)
+            start_dp_load sys
+              ~rng:(Rng.split (System.rng sys) "mt-burst")
+              ~cores:(tenant_dp_cores sys ~tenant:(n - 1))
+              ~net:0.9 ~storage:0.6 ~until;
             []
       in
       System.advance sys dur;
@@ -260,10 +206,7 @@ let measure ctx ~seed ~scale ~key ~specs ~scenario =
             let tenant = Tenant.get table tid in
             let hist = System.dp_latency_hist_of sys ~tenant:tid in
             let packets = Histogram.count hist in
-            let p99_us =
-              if packets = 0 then 0.0
-              else float_of_int (Histogram.percentile hist 99.0) /. 1e3
-            in
+            let p99_us = p99_us hist in
             let g = granted tid in
             {
               tid;
@@ -318,7 +261,7 @@ let measure ctx ~seed ~scale ~key ~specs ~scenario =
 
 (* --- oracles ------------------------------------------------------------- *)
 
-let check_oracles cells repeat_fp =
+let check_oracles cells =
   let fail fmt = Printf.ksprintf failwith fmt in
   List.iter
     (fun c ->
@@ -415,14 +358,7 @@ let check_oracles cells repeat_fp =
               neighbour idling (%.2fms idle vs %.2fms contended) — not work \
               conserving"
              (g idle 0) (g sat 0))
-  | _ -> ());
-  match repeat_fp with
-  | Some (first, second) when first <> second ->
-      failwith
-        (Printf.sprintf
-           "exp_multitenant: repeat run at the same seed diverged (%s vs %s)"
-           first second)
-  | _ -> ()
+  | _ -> ())
 
 (* --- the grid ------------------------------------------------------------ *)
 
@@ -477,16 +413,14 @@ let grid =
 (* The CI matrix pins one aggressor setting per job; the CLI turns
    --aggressor into a cell filter over these keys (the repeat cell counts
    as an aggressor cell). *)
-let aggressor_filter setting cell =
-  let prefix s =
-    let k = cell.Exp_desc.key in
-    let n = String.length s in
-    String.length k >= n && String.sub k 0 n = s
+let aggressor_filter aggressor cell =
+  let prefixes =
+    if aggressor then [ "storm-"; "burst-"; "repeat-storm" ]
+    else [ "sat-"; "idle-" ]
   in
-  match setting with
-  | "on" -> prefix "storm-" || prefix "burst-" || prefix "repeat-storm"
-  | "off" -> prefix "sat-" || prefix "idle-"
-  | a -> failwith (Printf.sprintf "exp_multitenant: unknown aggressor %S" a)
+  List.exists
+    (fun prefix -> String.starts_with ~prefix cell.Exp_desc.key)
+    prefixes
 
 let multitenant =
   Exp_desc.make ~name:"multitenant"
@@ -500,12 +434,9 @@ let multitenant =
        and a CP storm / DP burst from one tenant stays inside every \
        victim's p99 contract with brownout attributed to the aggressor's \
        ladder only"
-    ~cells:(List.map fst grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      match
-        List.assoc cell.Exp_desc.key
-          (List.map (fun (c, v) -> (c.Exp_desc.key, v)) grid)
-      with
+    ~grid
+    ~run_cell:(fun ctx ~seed ~scale cell point ->
+      match point with
       | `Point (scenario, specs) ->
           Run_ctx.printf ctx "\n-- %s: %s (seed %d)\n" cell.Exp_desc.key
             cell.Exp_desc.label seed;
@@ -516,16 +447,7 @@ let multitenant =
           measure ctx ~seed ~scale ~key:"repeat-storm-t2-skew" ~specs:t2_skew
             ~scenario:Cpstorm)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let outcome key =
-        List.assoc_opt key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
-      let cells =
-        List.filter_map
-          (fun (c, r) ->
-            if c.Exp_desc.key = "repeat-storm-t2-skew" then None else Some r)
-          results
-      in
+      let cells = results_except "repeat-storm-t2-skew" results in
       let table =
         Table.create
           ~columns:
@@ -569,12 +491,11 @@ let multitenant =
             c.rows)
         cells;
       Run_ctx.print_table ctx table;
-      let repeat_fp =
-        match (outcome "storm-t2-skew", outcome "repeat-storm-t2-skew") with
-        | Some first, Some again -> Some (first.fingerprint, again.fingerprint)
-        | _ -> None
-      in
-      check_oracles cells repeat_fp;
+      check_oracles cells;
+      check_repeat ~experiment:"exp_multitenant" ~base:"storm-t2-skew"
+        ~repeat:"repeat-storm-t2-skew"
+        (fun o -> o.fingerprint)
+        results;
       Run_ctx.printf ctx
         "\nShares track weights within %.0f%%, idle capacity is \
          redistributed, and every aggressor cell (*) kept its victims \

@@ -10,8 +10,7 @@
 
 val multitenant : Exp_desc.t
 
-val aggressor_filter : string -> Exp_desc.cell -> bool
-(** [aggressor_filter setting] is the cell filter behind the CLI's
-    [--aggressor] narrowing: ["on"] keeps the
-    storm/burst (and determinism-repeat) cells, ["off"] the
-    saturation/idle cells. Raises on any other setting. *)
+val aggressor_filter : bool -> Exp_desc.cell -> bool
+(** [aggressor_filter aggressor] is the cell filter behind the CLI's
+    [--aggressor] narrowing: [true] keeps the storm/burst (and
+    determinism-repeat) cells, [false] the saturation/idle cells. *)

@@ -2,13 +2,7 @@ open Taichi_engine
 open Taichi_os
 open Taichi_metrics
 open Taichi_core
-open Taichi_controlplane
 open Exp_common
-
-(* The DP p99 guardrail the storm cells are judged against — the same
-   bound the governor escalates on, so "the governor holds what it
-   watches" is exactly what the oracle checks. *)
-let guardrail = Config.default.Config.overload_p99_bound
 
 let densities = [ 1.0; 2.0; 4.0 ]
 let max_density = 4.0
@@ -36,45 +30,6 @@ type outcome = {
   held : int;
   fingerprint : string;
 }
-
-(* The fig17 VM-startup storm, submitted through the governed admission
-   path as Standard-class work. Arrivals are staggered across [spread] so
-   the late wave hits an already-deep ladder and exercises the deferred
-   path (a single burst would all be admitted at Normal). *)
-let storm sys ~density ~spread ~recorder =
-  let sim = System.sim sys in
-  let rng = Rng.split (System.rng sys) "overload-storm" in
-  let locks =
-    List.init 8 (fun i -> Task.spinlock (Printf.sprintf "device-driver-%d" i))
-  in
-  let params =
-    Vm_lifecycle.at_density ~base:(Vm_lifecycle.default_params ~rng) density
-  in
-  let params =
-    {
-      params with
-      Vm_lifecycle.device =
-        {
-          params.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
-  let n_vms = max 1 (int_of_float (10.0 *. density)) in
-  let tasks =
-    List.init n_vms (fun i ->
-        Vm_lifecycle.startup_task ~sim ~rng ~params ~locks ~affinity:[]
-          ~name:(Printf.sprintf "vm-%d" i)
-          ~recorder ())
-  in
-  let gap = spread / max 1 n_vms in
-  List.iteri
-    (fun i task ->
-      ignore
-        (Sim.after sim (gap * i) (fun () ->
-             System.spawn_cp ~cls:Overload.Standard sys task)))
-    tasks;
-  tasks
 
 let measure ctx ~seed ~scale ~density ~governor =
   let config =
@@ -113,8 +68,17 @@ let measure ctx ~seed ~scale ~density ~governor =
       start_bg_dp sys ~target:0.25 ~storage_target:0.12 ~until;
       start_bg_cp sys;
       start_cp_churn sys ~period:(Time_ns.us 300) ~work:(Time_ns.us 200) ~until;
+      (* The fig17 VM-startup storm as Standard-class work, staggered
+         across the first third of the window so the late wave hits an
+         already-deep ladder and exercises the deferred path (a single
+         burst would all be admitted at Normal). *)
       let recorder = Recorder.create "vm.startup" in
-      let tasks = storm sys ~density ~spread:(dur / 3) ~recorder in
+      let tasks =
+        vm_storm sys
+          ~rng:(Rng.split (System.rng sys) "overload-storm")
+          ~density ~locks:"device-driver" ~name:"vm" ~recorder
+      in
+      spawn_staggered sys ~spread:(dur / 3) tasks;
       System.advance sys dur;
       (* Post-storm: let deferred admissions drain and the ladder re-arm.
          The quiet tail is sized generously past overload_quiet so "still
@@ -122,10 +86,7 @@ let measure ctx ~seed ~scale ~density ~governor =
       ignore (System.run_until_tasks_done sys tasks ~limit:(Time_ns.sec 2));
       System.advance sys (Time_ns.ms 20);
       let hist = System.dp_latency_hist sys in
-      let p99_us =
-        if Taichi_engine.Histogram.count hist = 0 then 0.0
-        else float_of_int (Taichi_engine.Histogram.percentile hist 99.0) /. 1e3
-      in
+      let p99_us = p99_us hist in
       (* Evaluate the guardrail as a proper SLO verdict over the merged DP
          latency histogram rather than a raw comparison. *)
       let guard =
@@ -168,7 +129,7 @@ let measure ctx ~seed ~scale ~density ~governor =
             ];
       })
 
-let check_oracles cells repeat_fp =
+let check_oracles cells =
   let fail fmt = Printf.ksprintf failwith fmt in
   let on_cells = List.filter (fun c -> c.governor) cells in
   let off_cells = List.filter (fun c -> not c.governor) cells in
@@ -208,13 +169,7 @@ let check_oracles cells repeat_fp =
       if c.final_level <> "normal" then
         fail "exp_overload: ladder still at %s after the post-storm quiet tail"
           c.final_level)
-    on_cells;
-  (* 5. Bit-identical repeat at the same seed. *)
-  match repeat_fp with
-  | Some (first, second) when first <> second ->
-      fail "exp_overload: repeat run at the same seed diverged (%s vs %s)"
-        first second
-  | _ -> ()
+    on_cells
 
 (* The grid: (density x governor), plus an explicit determinism-repeat
    cell that re-measures the hottest governed point at the same seed. *)
@@ -245,16 +200,10 @@ let overload_grid =
 (* The CI matrix pins one governor setting per job; the CLI turns
    --overload into a cell filter over these keys (the repeat cell counts
    as a governed cell). *)
-let governor_filter setting cell =
-  let suffix s =
-    let k = cell.Exp_desc.key in
-    let n = String.length s in
-    String.length k >= n && String.sub k (String.length k - n) n = s
-  in
-  match setting with
-  | "on" -> suffix "-on"
-  | "off" -> suffix "-off"
-  | g -> failwith (Printf.sprintf "exp_overload: unknown governor %S" g)
+let governor_filter governor cell =
+  String.ends_with
+    ~suffix:(if governor then "-on" else "-off")
+    cell.Exp_desc.key
 
 let overload =
   Exp_desc.make ~name:"overload"
@@ -265,12 +214,9 @@ let overload =
       "VM-startup storm x density sweep with the brownout governor on/off: \
        guardrail contrast, shed discipline, bounded-ladder and determinism \
        oracles"
-    ~cells:(List.map fst overload_grid)
-    ~run_cell:(fun ctx ~seed ~scale cell ->
-      match
-        List.assoc cell.Exp_desc.key
-          (List.map (fun (c, v) -> (c.Exp_desc.key, v)) overload_grid)
-      with
+    ~grid:overload_grid
+    ~run_cell:(fun ctx ~seed ~scale _cell point ->
+      match point with
       | `Point (density, governor) ->
           Run_ctx.printf ctx "\n-- density %.0fx, governor %s (seed %d)\n"
             density
@@ -284,16 +230,7 @@ let overload =
             max_density seed;
           measure ctx ~seed ~scale ~density:max_density ~governor:true)
     ~summarize:(fun ctx ~seed:_ ~scale:_ results ->
-      let outcome key =
-        List.assoc_opt key
-          (List.map (fun (c, r) -> (c.Exp_desc.key, r)) results)
-      in
-      let cells =
-        List.filter_map
-          (fun (c, r) ->
-            if c.Exp_desc.key = "repeat-d4-on" then None else Some r)
-          results
-      in
+      let cells = results_except "repeat-d4-on" results in
       let table =
         Table.create
           ~columns:
@@ -333,12 +270,11 @@ let overload =
       Run_ctx.print_table ctx table;
       (* Determinism oracle: the repeat cell measured the hottest governed
          point again; the two digests must match. *)
-      let repeat_fp =
-        match (outcome "d4-on", outcome "repeat-d4-on") with
-        | Some first, Some again -> Some (first.fingerprint, again.fingerprint)
-        | _ -> None
-      in
-      check_oracles cells repeat_fp;
+      check_oracles cells;
+      check_repeat ~experiment:"exp_overload" ~base:"d4-on"
+        ~repeat:"repeat-d4-on"
+        (fun o -> o.fingerprint)
+        results;
       if List.exists (fun c -> c.governor) cells then
         Run_ctx.printf ctx
           "\nGuardrail %s held with the governor on; deferrable work was \

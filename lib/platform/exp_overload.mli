@@ -23,7 +23,6 @@ val overload : Exp_desc.t
 (** One cell per (density x governor) grid point plus the determinism
     repeat cell. *)
 
-val governor_filter : string -> Exp_desc.cell -> bool
-(** Cell filter keeping one governor setting, ["on"] or ["off"] (the
-    CLI's [--overload]); the repeat cell counts as governed. Raises
-    [Failure] on any other setting. *)
+val governor_filter : bool -> Exp_desc.cell -> bool
+(** Cell filter keeping the cells with the governor on ([true]) or off
+    (the CLI's [--overload]); the repeat cell counts as governed. *)

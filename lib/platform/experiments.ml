@@ -26,6 +26,76 @@ let all =
 
 let find name = List.find_opt (fun d -> Exp_desc.name d = name) all
 
+type narrowing = {
+  flag : string;
+  experiment : string;
+  doc : string;
+  values : (string * (Exp_desc.cell -> bool)) list;
+}
+
+let on_off filter = [ ("on", filter true); ("off", filter false) ]
+let named filter = List.map (fun v -> (v, filter v))
+let narrowing flag experiment values ~doc = { flag; experiment; doc; values }
+
+let narrowings =
+  [
+    narrowing "chaos-profile" "chaos"
+      (named Exp_chaos.profile_filter Exp_chaos.profile_names)
+      ~doc:"Restrict the chaos experiment to one fault profile.";
+    narrowing "overload" "overload"
+      (on_off Exp_overload.governor_filter)
+      ~doc:"Restrict the overload experiment to one governor setting.";
+    narrowing "aggressor" "multitenant"
+      (on_off Exp_multitenant.aggressor_filter)
+      ~doc:
+        "Restrict the multitenant experiment to the aggressor ($(b,on): CP \
+         storm / DP burst cells) or contention-only ($(b,off): saturation / \
+         idle cells) half of the grid.";
+    narrowing "churn-profile" "churn"
+      (named Exp_churn.profile_filter Exp_churn.profile_names)
+      ~doc:
+        "Restrict the churn experiment to one churn profile ($(b,steady): \
+         arrival waves and forced departure, $(b,flap): thrash / refusal / \
+         determinism repeat, $(b,chaos): chaos-under-churn).";
+    narrowing "nics" "fleet"
+      (List.map
+         (fun n -> (string_of_int n, Exp_fleet.nics_filter n))
+         Exp_fleet.nic_counts)
+      ~doc:
+        "Restrict the fleet experiment to the cells whose rack is this many \
+         NICs wide (the determinism repeat rides with the 8-NIC cells).";
+    narrowing "failover" "fleet"
+      (on_off Exp_fleet.failover_filter)
+      ~doc:"Restrict the fleet experiment to one failover setting.";
+  ]
+
+type chosen = (narrowing * (Exp_desc.cell -> bool)) list
+
+let filter_for chosen desc cell =
+  List.for_all
+    (fun (n, keep) -> n.experiment <> Exp_desc.name desc || keep cell)
+    chosen
+
+let refusal chosen name =
+  match
+    List.find_opt (fun (n, _) -> name <> "all" && n.experiment <> name) chosen
+  with
+  | Some (n, _) ->
+      Some
+        (Printf.sprintf "--%s narrows the %s experiment; %s does not take it"
+           n.flag n.experiment name)
+  | None ->
+      List.find_map
+        (fun (n, _) ->
+          let desc = Option.get (find n.experiment) in
+          if List.exists (filter_for chosen desc) (Exp_desc.cells desc) then
+            None
+          else
+            Some
+              (Printf.sprintf "the narrowing flags leave %s no cell to run"
+                 n.experiment))
+        chosen
+
 (* Edit distance for "did you mean" suggestions on a typoed experiment
    name — the registry is tiny, so the O(n*m) textbook recurrence is
    plenty. *)

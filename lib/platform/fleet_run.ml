@@ -25,14 +25,11 @@
 open Taichi_engine
 open Taichi_hw
 open Taichi_os
-open Taichi_accel
 open Taichi_core
 open Taichi_faults
 open Taichi_fleet
 open Taichi_workloads
 open Taichi_controlplane
-
-let guardrail = Config.default.Config.overload_p99_bound
 
 (* Boot tenants per NIC (the fleet victims) — same contract discipline as
    exp_churn, relaxed to the fleet guardrail. *)
@@ -140,26 +137,9 @@ let make_config p =
   let c = if p.governor then Config.with_overload c else c in
   Config.with_churn c
 
-let lifecycle_of env =
-  match System.lifecycle env.sys with
-  | Some lc -> lc
-  | None -> failwith "fleet_run: NIC built without a churn lifecycle"
-
 let dyn_name ~nic n = Printf.sprintf "dyn-n%d-%d" nic n
 
-let cp_task env ~tenant ~work ~name =
-  let rng = Rng.split (System.rng env.sys) ("fleet-" ^ name) in
-  let params =
-    { Synth_cp.default_params with Synth_cp.total_work = work; phases = 3 }
-  in
-  Synth_cp.make ~tenant ~rng ~params ~locks:[] ~affinity:[] ~name ()
-
-let spawn_tenant_work env ~tenant ~count ~work ~tag =
-  for i = 1 to count do
-    System.spawn_cp ~tenant env.sys
-      (cp_task env ~tenant ~work
-         ~name:(Printf.sprintf "%s-%d-%d" tag tenant i))
-  done
+let spawn_tenant_work env = Exp_common.spawn_synth env.sys ~stream:"fleet-"
 
 let make_env ~ctx ~seed ~nic_idx p =
   let nic_seed =
@@ -178,21 +158,7 @@ let make_env ~ctx ~seed ~nic_idx p =
   System.warmup sys;
   let rng = System.rng sys in
   let vm_rng = Rng.split rng "fleet-storm" in
-  let vm_params =
-    let base =
-      Vm_lifecycle.at_density
-        ~base:(Vm_lifecycle.default_params ~rng:vm_rng)
-        p.density
-    in
-    {
-      base with
-      Vm_lifecycle.device =
-        {
-          base.Vm_lifecycle.device with
-          Device_mgmt.dpcp_roundtrip = System.dpcp_roundtrip sys;
-        };
-    }
-  in
+  let vm_params = Exp_common.vm_params sys ~rng:vm_rng ~density:p.density in
   {
     idx = nic_idx;
     sys;
@@ -241,24 +207,13 @@ let storm_epoch env ~epoch ~epochs ~epoch_len ~density ~crowds =
 
 (* A browned NIC is slow, not dead: every epoch it eats an extra burst of
    background packets, which is what drags its DP tail. *)
-let brownout_load env =
-  let client = System.client env.sys in
-  let dp_cores = Array.of_list (System.dp_cores env.sys) in
-  for _ = 1 to 384 do
-    let core = dp_cores.(Rng.int env.burst_rng (Array.length dp_cores)) in
-    Client.submit_background client ~kind:Packet.Net_rx ~size:1400 ~core
-  done
+let brownout_load env = Exp_common.dp_burst env.sys env.burst_rng 384
 
 (* The RPC ping the NICs exchange every epoch: the server side answers
    and absorbs a small DP burst on behalf of the caller — the cross-NIC
    coupling that makes fabric loss observable in the data plane. *)
 let serve_ping env ~src:_ body =
-  let client = System.client env.sys in
-  let dp_cores = Array.of_list (System.dp_cores env.sys) in
-  for _ = 1 to 24 do
-    let core = dp_cores.(Rng.int env.burst_rng (Array.length dp_cores)) in
-    Client.submit_background client ~kind:Packet.Net_rx ~size:1400 ~core
-  done;
+  Exp_common.dp_burst env.sys env.burst_rng 24;
   Some ("ack:" ^ body)
 
 (* --- failover ------------------------------------------------------------- *)
@@ -287,7 +242,7 @@ let placement_order fleet ~home =
 let rec admit_first ~refused spec = function
   | [] -> None
   | env :: rest -> (
-      match Lifecycle.admit (lifecycle_of env) spec with
+      match Lifecycle.admit (Exp_common.lifecycle_of env.sys) spec with
       | Ok id -> Some (env, id)
       | Error r ->
           refused env;
@@ -306,13 +261,9 @@ let pin_overrun env id =
   spawn_tenant_work env ~tenant:id ~count:1 ~work:(Time_ns.ms 8) ~tag:"ovr";
   ignore
     (Sim.after (System.sim env.sys) (Time_ns.us 200) (fun () ->
-         Lifecycle.retire (lifecycle_of env) ~tenant:id))
+         Lifecycle.retire (Exp_common.lifecycle_of env.sys) ~tenant:id))
 
 (* --- the run -------------------------------------------------------------- *)
-
-let p99_us_of hist =
-  if Histogram.count hist = 0 then 0.0
-  else float_of_int (Histogram.percentile hist 99.0) /. 1e3
 
 let run ?(ctx = Run_ctx.default) ~seed p =
   if p.nics < 2 then invalid_arg "Fleet_run.run: need at least 2 NICs";
@@ -347,7 +298,8 @@ let run ?(ctx = Run_ctx.default) ~seed p =
     (fun env ->
       let weight = 1 + (env.idx mod 3) in
       let name = dyn_name ~nic:env.idx 0 in
-      match Lifecycle.admit (lifecycle_of env) (Tenant.spec ~weight name) with
+      let lc = Exp_common.lifecycle_of env.sys in
+      match Lifecycle.admit lc (Tenant.spec ~weight name) with
       | Ok id ->
           env.tenants <- [ (name, weight) ];
           spawn_tenant_work env ~tenant:id ~count:2 ~work:(Time_ns.ms 1)
@@ -531,12 +483,12 @@ let run ?(ctx = Run_ctx.default) ~seed p =
          (fun env ->
            let get = Counters.get (counters_of env) in
            let hist = System.dp_latency_hist env.sys in
-           let p99 = p99_us_of hist in
+           let p99 = Exp_common.p99_us hist in
            {
              nr_nic = env.idx;
              nr_state = Fleet.state_label (Fleet.state fleet env.idx);
              nr_p99_us = p99;
-             nr_guard_ok = p99 <= float_of_int guardrail /. 1e3;
+             nr_guard_ok = p99 <= float_of_int Exp_common.guardrail /. 1e3;
              nr_packets = Histogram.count hist;
              nr_vms = Taichi_metrics.Recorder.count env.recorder;
              nr_admitted = get "churn.admitted";

@@ -18,10 +18,6 @@
 open Taichi_engine
 open Taichi_faults
 
-val guardrail : Time_ns.t
-(** The 150 µs DP p99 bound each NIC is judged against for fleet SLO
-    attainment ([Config.overload_p99_bound]). *)
-
 type params = {
   nics : int;
   epochs : int;

@@ -68,13 +68,6 @@ let print_table t table = print_string t (Taichi_metrics.Table.render table)
 let banner t title =
   printf t "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-let flush_into_stdout t =
-  match t.out with
-  | Stdout -> ()
-  | Buffered b ->
-      Stdlib.print_string (Buffer.contents b);
-      Buffer.clear b
-
 (* Cell output propagates to the parent's output, wherever that points:
    stdout for the CLI, the parent's own buffer when a sweep itself runs
    under a buffered context (the bench's silent timing runs). *)

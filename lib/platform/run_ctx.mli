@@ -43,18 +43,13 @@ val for_cell : t -> t
 (** Derive a per-cell context: same tracing / audit mode / experiment
     label, but a fresh private sink and a fresh private output buffer.
     The sweep runs one cell per derived context, then merges with
-    {!absorb} and {!flush_into_stdout} in deterministic cell order. *)
+    {!absorb} and {!flush_into} in deterministic cell order. *)
 
-val print_string : t -> string -> unit
 val printf : t -> ('a, unit, string, unit) format4 -> 'a
 val print_table : t -> Taichi_metrics.Table.t -> unit
 
 val banner : t -> string -> unit
 (** Section header ("title\n=====") through the context's output. *)
-
-val flush_into_stdout : t -> unit
-(** Emit and clear a cell context's buffered output; no-op on an
-    unbuffered context. *)
 
 val flush_into : into:t -> t -> unit
 (** [flush_into ~into:parent cell] moves the cell's buffered output to

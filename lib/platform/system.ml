@@ -187,7 +187,6 @@ let cp_affinity t =
       | None -> t.cp_cores)
 
 let net_services t = t.net_services
-let storage_services t = t.storage_services
 let services t = t.net_services @ t.storage_services
 
 let overload t =
@@ -297,9 +296,6 @@ let dp_latency_hist_of t ~tenant =
           (Taichi_metrics.Recorder.histogram (Dp_service.latency dp))
       else acc)
     (Histogram.create ()) (services t)
-
-let dp_spikes t =
-  List.fold_left (fun acc dp -> acc + Dp_service.spikes dp) 0 (services t)
 
 let dp_work_utilization t =
   let cores = dp_cores t in

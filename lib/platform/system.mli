@@ -63,7 +63,6 @@ val cp_affinity : t -> int list
 (** Kernel CPU ids control-plane tasks bind to under this policy. *)
 
 val net_services : t -> Dp_service.t list
-val storage_services : t -> Dp_service.t list
 val services : t -> Dp_service.t list
 
 val overload : t -> Overload.t option
@@ -85,16 +84,13 @@ val lifecycle : t -> Lifecycle.t option
 (** The tenant-churn lifecycle manager, present under a Tai Chi policy
     with [Config.churn] set. *)
 
-val cp_affinity_for : t -> int -> int list
-(** [cp_affinity_for t tenant] is the CP CPU set for one tenant's tasks:
-    the shared dedicated CP pCPUs plus only that tenant's vCPUs under an
-    explicit multi-tenant Tai Chi table; {!cp_affinity} otherwise. *)
-
 val spawn_cp : ?cls:Overload.cls -> ?tenant:int -> t -> Task.t -> unit
 (** Spawn a control-plane task owned by [tenant] (default 0, the implicit
-    tenant): the task is stamped with the tenant id, and tasks without an
-    explicit affinity are bound to {!cp_affinity_for}; an existing pin is
-    respected. With an armed overload governor the admission is routed
+    tenant): the task is stamped with the tenant id, and a task without
+    an explicit affinity is bound to the tenant's CP CPU set — the shared
+    dedicated CP pCPUs plus only that tenant's vCPUs under an explicit
+    multi-tenant Tai Chi table, {!cp_affinity} otherwise; an existing pin
+    is respected. With an armed overload governor the admission is routed
     through [Overload.admit] on the owning tenant's lane under [cls]
     (default [Standard]) — it may be deferred until that ladder relaxes,
     or shed entirely for [Deferrable] work at the deepest rungs. Under
@@ -129,9 +125,6 @@ val dp_latency_hist : t -> Histogram.t
 val dp_latency_hist_of : t -> tenant:int -> Histogram.t
 (** Merged per-packet latency across one tenant's data-plane services —
     the victim/aggressor split the isolation oracles measure. *)
-
-val dp_spikes : t -> int
-(** Total tail-latency spikes observed by data-plane services. *)
 
 val dp_work_utilization : t -> float
 (** Useful data-plane processing time over (elapsed x data-plane cores). *)

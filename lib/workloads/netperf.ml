@@ -62,9 +62,6 @@ let per_sec count ~duration =
   if duration <= 0 then 0.0
   else float_of_int count /. Time_ns.to_sec_f duration
 
-let stream_rx_bw_gbps result ~size ~duration =
-  per_sec !(result.rx_done) ~duration *. float_of_int size *. 8.0 /. 1e9
-
 let stream_rx_pps result ~duration = per_sec !(result.rx_done) ~duration
 let stream_tx_pps result ~duration = per_sec !(result.tx_done) ~duration
 

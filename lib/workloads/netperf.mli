@@ -39,7 +39,6 @@ val udp_stream :
 val tcp_stream :
   Client.t -> Rng.t -> cores:int list -> until:Time_ns.t -> stream_result
 
-val stream_rx_bw_gbps : stream_result -> size:int -> duration:Time_ns.t -> float
 val stream_rx_pps : stream_result -> duration:Time_ns.t -> float
 val stream_tx_pps : stream_result -> duration:Time_ns.t -> float
 

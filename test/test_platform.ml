@@ -210,6 +210,68 @@ let test_accounting_conservation () =
         (busy <= elapsed))
     (System.dp_cores sys @ System.cp_cores sys)
 
+(* --- narrowing flags ------------------------------------------------------ *)
+
+let narrowed_desc (n : Experiments.narrowing) =
+  Option.get (Experiments.find n.experiment)
+
+let kept chosen desc =
+  List.filter (Experiments.filter_for chosen desc) (Exp_desc.cells desc)
+
+(* Every value a flag accepts keeps a cell of its experiment and runs
+   there and under [all]; elsewhere the flag is refused, and it never
+   narrows another experiment. *)
+let test_narrowing_values () =
+  let fig12 = Option.get (Experiments.find "fig12") in
+  List.iter
+    (fun (n : Experiments.narrowing) ->
+      List.iter
+        (fun (value, keep) ->
+          let chosen = [ (n, keep) ] in
+          let what = Printf.sprintf "--%s %s" n.flag value in
+          checkb (what ^ " keeps a cell") true
+            (kept chosen (narrowed_desc n) <> []);
+          checkb (what ^ " runs") true
+            (Experiments.refusal chosen n.experiment = None);
+          checkb (what ^ " runs under all") true
+            (Experiments.refusal chosen "all" = None);
+          checkb (what ^ " is refused for fig12") true
+            (Experiments.refusal chosen "fig12" <> None);
+          checki (what ^ " leaves fig12's cells alone")
+            (Exp_desc.cell_count fig12)
+            (List.length (kept chosen fig12)))
+        n.values)
+    Experiments.narrowings
+
+(* The fleet takes two flags at once: a pair is refused exactly when it
+   leaves no cell (16 NICs with failover off, for one). *)
+let test_fleet_narrowing_pairs () =
+  let flag name =
+    List.find
+      (fun (n : Experiments.narrowing) -> n.flag = name)
+      Experiments.narrowings
+  in
+  let nics = flag "nics" and failover = flag "failover" in
+  List.iter
+    (fun (nv, nk) ->
+      List.iter
+        (fun (fv, fk) ->
+          let chosen = [ (nics, nk); (failover, fk) ] in
+          checkb
+            (Printf.sprintf "--nics %s --failover %s: refused iff empty" nv fv)
+            (kept chosen (narrowed_desc nics) = [])
+            (Experiments.refusal chosen "fleet" <> None))
+        failover.values)
+    nics.values;
+  checkb "--nics 16 --failover off is refused" true
+    (Experiments.refusal
+       [
+         (nics, List.assoc "16" nics.values);
+         (failover, List.assoc "off" failover.values);
+       ]
+       "fleet"
+    <> None)
+
 let suite =
   [
     ("policy names", `Quick, test_policy_names);
@@ -224,4 +286,6 @@ let suite =
     ("fig12 ordering shape", `Slow, test_fig12_shape);
     ("hw probe hides latency", `Slow, test_hw_probe_hides_latency);
     ("accounting conservation", `Slow, test_accounting_conservation);
+    ("narrowing values keep a cell", `Quick, test_narrowing_values);
+    ("fleet narrowing pairs", `Quick, test_fleet_narrowing_pairs);
   ]

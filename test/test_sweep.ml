@@ -96,9 +96,8 @@ let synth_cells = List.init 9 (fun i -> Printf.sprintf "cell-%d" i)
 let synth_desc order =
   Exp_desc.make ~name:"synth" ~title:"synthetic shuffle grid"
     ~description:"qcheck shuffle property"
-    ~cells:(List.map (fun key -> { Exp_desc.key; label = key }) order)
-    ~run_cell:(fun _ctx ~seed ~scale:_ cell ->
-      Hashtbl.hash (seed, cell.Exp_desc.key))
+    ~grid:(List.map (fun key -> ({ Exp_desc.key; label = key }, key)) order)
+    ~run_cell:(fun _ctx ~seed ~scale:_ _cell key -> Hashtbl.hash (seed, key))
     ~summarize:(fun ctx ~seed:_ ~scale:_ pairs ->
       List.iter
         (fun (c, v) -> Run_ctx.printf ctx "%s=%d\n" c.Exp_desc.key v)
@@ -128,8 +127,52 @@ let shuffle_prop =
       let jobs = if parallel then 4 else 1 in
       String.equal reference (synth_output order ~jobs))
 
+(* --- typed grids: every cell runs with its own point ------------------ *)
+
+(* Points that no key could produce, so a point handed to the wrong cell
+   shows. *)
+let point_grid =
+  List.init 6 (fun i ->
+      ({ Exp_desc.key = Printf.sprintf "p%d" i; label = "" }, (i * 7) + 3))
+
+let grid_points ~jobs () =
+  let seen = ref [] in
+  let desc =
+    Exp_desc.make ~name:"points" ~title:"typed grid points" ~description:""
+      ~grid:point_grid
+      ~run_cell:(fun _ctx ~seed:_ ~scale:_ cell p -> (cell.Exp_desc.key, p))
+      ~summarize:(fun _ctx ~seed:_ ~scale:_ results -> seen := results)
+  in
+  let dropped = [ "p1"; "p4" ] in
+  Sweep.run ~jobs
+    ~filter:(fun c -> not (List.mem c.Exp_desc.key dropped))
+    (Run_ctx.for_cell (Run_ctx.create ()))
+    desc ~seed:1 ~scale:1.0;
+  let results = !seen in
+  let point key = Exp_desc.result point_grid key in
+  Alcotest.(check (list string))
+    "the kept cells ran, in grid order" [ "p0"; "p2"; "p3"; "p5" ]
+    (List.map (fun (c, _) -> c.Exp_desc.key) results);
+  List.iter
+    (fun (c, (handed, p)) ->
+      Alcotest.(check string) "run_cell got its own cell" c.Exp_desc.key handed;
+      Alcotest.(check int)
+        (c.Exp_desc.key ^ ": run_cell got the declared point")
+        (point c.Exp_desc.key) p)
+    results;
+  Alcotest.(check (pair string int))
+    "result finds a cell by key" ("p3", point "p3")
+    (Exp_desc.result results "p3");
+  Alcotest.(check bool)
+    "result_opt is None for a filtered-out cell" true
+    (Exp_desc.result_opt results "p1" = None)
+
 let suite =
   [
+    Alcotest.test_case "typed grid points, jobs 1" `Quick
+      (grid_points ~jobs:1);
+    Alcotest.test_case "typed grid points, jobs 4" `Quick
+      (grid_points ~jobs:4);
     Alcotest.test_case "two systems concurrently" `Quick
       two_systems_concurrently;
     Alcotest.test_case "fig17 parallel equivalence" `Slow
