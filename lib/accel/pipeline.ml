@@ -35,7 +35,6 @@ type t = {
   mutable in_flight : int array;  (* submitted, not yet delivered *)
   mutable probe_hook : (Packet.t -> unit) option;
   mutable deliver_hook : core:int -> unit;
-  mutable submitted : int;
   mutable delivered : int;
   (* delivery FIFO (circular; grows by doubling; capacity power of 2) *)
   mutable q_due : int array;
@@ -154,7 +153,6 @@ let create ?(config = default_config) sim =
       in_flight = [||];
       probe_hook = None;
       deliver_hook = (fun ~core:_ -> ());
-      submitted = 0;
       delivered = 0;
       q_due = [||];
       q_seq = [||];
@@ -171,7 +169,6 @@ let create ?(config = default_config) sim =
   t
 
 let submit t pkt =
-  t.submitted <- t.submitted + 1;
   pkt.Packet.t_submit <- Sim.now t.sim;
   let core = pkt.Packet.dst_core in
   cover t core;
@@ -184,5 +181,4 @@ let submit t pkt =
   enqueue t ~due ~seq pkt;
   if not t.armed then arm t ~due ~seq
 
-let submitted t = t.submitted
 let delivered t = t.delivered

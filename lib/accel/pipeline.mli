@@ -55,5 +55,4 @@ val in_flight : t -> core:int -> int
 (** Descriptors submitted but not yet delivered for [core] — the yield
     race window the vCPU scheduler re-checks before committing a yield. *)
 
-val submitted : t -> int
 val delivered : t -> int

@@ -12,11 +12,13 @@ let sub_count = 1 lsl sub_bits (* 32 *)
 let index_of v =
   if v < 2 * sub_count then v
   else
-    (* Position of the highest set bit. *)
-    let rec highest_bit x acc =
-      if x <= 1 then acc else highest_bit (x lsr 1) (acc + 1)
-    in
-    let h = highest_bit v 0 in
+    (* Position of the highest set bit, in six halving steps. *)
+    let h = ref 0 and step = ref 32 in
+    while !step > 0 do
+      if v lsr (!h + !step) <> 0 then h := !h + !step;
+      step := !step lsr 1
+    done;
+    let h = !h in
     let shift = h - sub_bits in
     let sub = (v lsr shift) - sub_count in
     (((h - sub_bits) + 1) * sub_count) + sub

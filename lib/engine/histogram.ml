@@ -3,16 +3,21 @@
    sub_bucket_bits = 5) lives in [Bucket_layout], shared with the
    sliding-window quantile sketch in taichi_metrics. *)
 
+(* The running sum sits in a one-field float record, stored flat: a
+   [mutable float] field beside the int fields would box on every add. *)
+type sum = { mutable sum : float }
+
 type t = {
   mutable buckets : int array;
   mutable n : int;
-  mutable total : float;
+  total : sum;
   mutable lo : int;
   mutable hi : int;
 }
 
 let create () =
-  { buckets = Array.make 1024 0; n = 0; total = 0.0; lo = max_int; hi = min_int }
+  { buckets = Array.make 1024 0; n = 0; total = { sum = 0.0 }; lo = max_int;
+    hi = min_int }
 
 let index_of = Bucket_layout.index_of
 let upper_of = Bucket_layout.upper_of
@@ -33,14 +38,14 @@ let add_many h v n =
     ensure h i;
     h.buckets.(i) <- h.buckets.(i) + n;
     h.n <- h.n + n;
-    h.total <- h.total +. (float_of_int v *. float_of_int n);
+    h.total.sum <- h.total.sum +. (float_of_int v *. float_of_int n);
     if v < h.lo then h.lo <- v;
     if v > h.hi then h.hi <- v
   end
 
 let add h v = add_many h v 1
 let count h = h.n
-let mean h = if h.n = 0 then 0.0 else h.total /. float_of_int h.n
+let mean h = if h.n = 0 then 0.0 else h.total.sum /. float_of_int h.n
 let min_value h = if h.n = 0 then invalid_arg "Histogram.min_value: empty" else h.lo
 let max_value h = if h.n = 0 then invalid_arg "Histogram.max_value: empty" else h.hi
 
@@ -105,7 +110,7 @@ let merge a b =
         end)
       src.buckets;
     out.n <- out.n + src.n;
-    out.total <- out.total +. src.total;
+    out.total.sum <- out.total.sum +. src.total.sum;
     if src.n > 0 then begin
       if src.lo < out.lo then out.lo <- src.lo;
       if src.hi > out.hi then out.hi <- src.hi
@@ -118,6 +123,6 @@ let merge a b =
 let clear h =
   Array.fill h.buckets 0 (Array.length h.buckets) 0;
   h.n <- 0;
-  h.total <- 0.0;
+  h.total.sum <- 0.0;
   h.lo <- max_int;
   h.hi <- min_int

@@ -14,8 +14,9 @@ val create : seed:int -> t
 
 val split : t -> string -> t
 (** [split rng name] derives an independent stream identified by [name].
-    The derivation depends only on the parent's seed material and [name],
-    not on how many values the parent has produced. *)
+    The child depends on the parent's current state and [name]: a split
+    taken after the parent has drawn differs from one taken before.
+    [split] does not advance the parent. *)
 
 val bits64 : t -> int64
 (** [bits64 rng] is the next raw 64-bit output. *)

@@ -157,6 +157,14 @@ let add_dwell t core st span =
   let d = t.dwell.(core) and i = label_index st in
   d.(i) <- d.(i) + span
 
+(* Top level and taking [ev] as an argument, so the fan-out builds no
+   closure per transition. *)
+let rec notify ev = function
+  | [] -> ()
+  | f :: rest ->
+      f ev;
+      notify ev rest
+
 let transition t ~core ~cause to_ =
   check_core t core;
   let from = t.states.(core) in
@@ -173,7 +181,7 @@ let transition t ~core ~cause to_ =
   t.transitions <- t.transitions + 1;
   let ev = { core; from_state = from; to_state = to_; cause; at; legal = is_legal }
   in
-  List.iter (fun f -> f ev) t.subscribers
+  notify ev t.subscribers
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 let transitions t = t.transitions

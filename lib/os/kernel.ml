@@ -196,6 +196,36 @@ let pause_run t c =
       charge t c Accounting.Cp_work elapsed
   | None -> ()
 
+(* --- work stealing ------------------------------------------------------- *)
+
+let admissible cid task =
+  task.Task.affinity = [] || List.mem cid task.Task.affinity
+
+exception Admissible
+
+(* Stops at the first admissible task. [check] is closed, so the scan
+   allocates nothing. *)
+let has_admissible cid q =
+  let check cid task =
+    if admissible cid task then raise_notrace Admissible else cid
+  in
+  match Queue.fold check cid q with _ -> false | exception Admissible -> true
+
+(* The victim of a steal onto [cid]: of the listed CPUs holding a task
+   admissible on [cid], the first with the longest run queues. Only
+   queues longer than the best so far are scanned. *)
+let rec steal_victim t cid best best_n = function
+  | [] -> best
+  | id :: rest when id = cid -> steal_victim t cid best best_n rest
+  | id :: rest ->
+      let c' = cpu t id in
+      let n = runqueue_length c' in
+      if
+        n > best_n
+        && (has_admissible cid c'.rq_rt || has_admissible cid c'.rq_normal)
+      then steal_victim t cid (Some c') n rest
+      else steal_victim t cid best best_n rest
+
 (* --- forward-declared mutually recursive scheduler core ---------------- *)
 
 let rec dispatch t c =
@@ -235,34 +265,15 @@ and pick_next t c =
       | None -> try_steal t c)
 
 and try_steal t c =
-  let admissible task =
-    task.Task.affinity = [] || List.mem c.cid task.Task.affinity
-  in
-  let best = ref None in
-  List.iter
-    (fun id ->
-      if id <> c.cid then begin
-        let c' = cpu t id in
-        let n = runqueue_length c' in
-        let has_admissible =
-          Queue.fold (fun acc x -> acc || admissible x) false c'.rq_rt
-          || Queue.fold (fun acc x -> acc || admissible x) false c'.rq_normal
-        in
-        if n > 0 && has_admissible then
-          match !best with
-          | Some (_, m) when m >= n -> ()
-          | Some _ | None -> best := Some (c', n)
-      end)
-    t.cpu_order;
-  match !best with
+  match steal_victim t c.cid None 0 t.cpu_order with
   | None -> None
-  | Some (victim, _) ->
+  | Some victim ->
       let steal_from q =
         let stolen = ref None in
         let keep = Queue.create () in
         Queue.iter
           (fun x ->
-            if !stolen = None && admissible x then stolen := Some x
+            if !stolen = None && admissible c.cid x then stolen := Some x
             else Queue.push x keep)
           q;
         Queue.clear q;

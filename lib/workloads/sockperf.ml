@@ -2,24 +2,6 @@ open Taichi_engine
 open Taichi_accel
 module Recorder = Taichi_metrics.Recorder
 
-let tcp client rng ~cores ~until =
-  let params =
-    {
-      Rr_engine.connections = 1024;
-      stages =
-        [
-          Rr_engine.stage ~conn_setup:true ~kind:Packet.Net_rx ~size:64
-            ~gap_after:(Time_ns.us 3) ();
-          Rr_engine.stage ~kind:Packet.Net_rx ~size:256 ~gap_after:(Time_ns.us 3)
-            ();
-          Rr_engine.stage ~kind:Packet.Net_tx ~size:256 ~rx:false ();
-        ];
-      think = Time_ns.us 20;
-      ramp = Time_ns.ms 1;
-    }
-  in
-  Rr_engine.run client rng ~params ~cores ~until
-
 let udp client rng ~cores ~until =
   let params =
     {

@@ -1,14 +1,8 @@
-(** The sockperf workload (Table 3).
-
-    - [tcp]: 1024 short-lived connections (connect, one exchange, close);
-      reports CPS and RX/TX pps.
-    - [udp]: single-stream ping-pong latency; reports average, p99 and
-      p999 latency, the Fig 14 latency series. *)
+(** The sockperf workload (Table 3): [udp] is single-stream ping-pong
+    latency, reporting average, p99 and p999 latency, the Fig 14 latency
+    series. *)
 
 open Taichi_engine
-
-val tcp :
-  Client.t -> Rng.t -> cores:int list -> until:Time_ns.t -> Rr_engine.result
 
 val udp :
   Client.t -> Rng.t -> cores:int list -> until:Time_ns.t -> Rr_engine.result

@@ -132,6 +132,18 @@ let test_subscriber_ordering () =
       checki "core" 0 ev.core
   | None -> Alcotest.fail "subscriber did not run"
 
+(* The fan-out builds no closure per transition: with two subscribers a
+   transition costs only the 7-word event record they receive. *)
+let test_transition_words () =
+  let _clock, t = make () in
+  subscribe t ignore;
+  subscribe t ignore;
+  transition t ~core:0 ~cause:Hotplug Dp_running;
+  Test_engine.check_words_cap "Core_state.transition" ~cap:7.0
+    (Test_engine.minor_words_per_op (fun i ->
+         transition t ~core:0 ~cause:Wake
+           (if i land 1 = 0 then Dp_counting else Dp_running)))
+
 let test_dwell_accounting () =
   let clock, t = make () in
   transition t ~core:0 ~cause:Hotplug Dp_counting;
@@ -231,6 +243,7 @@ let suite =
     ("strict mode rejects illegal", `Quick, test_strict_rejects);
     ("permissive mode counts illegal", `Quick, test_permissive_counts);
     ("subscriber ordering deterministic", `Quick, test_subscriber_ordering);
+    ("transition allocates only its event", `Quick, test_transition_words);
     ("dwell accounting", `Quick, test_dwell_accounting);
     QCheck_alcotest.to_alcotest prop_dwell_matches_events;
     ("soak: taichi audits clean", `Slow, test_soak_taichi);

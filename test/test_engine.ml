@@ -601,10 +601,11 @@ let minor_words_per_op ?(n = 100_000) f =
 
 let alloc_free_cap = 0.01
 
-let check_alloc_free what words =
-  if words > alloc_free_cap then
-    Alcotest.failf "%s allocates %f minor words/op (cap %g)" what words
-      alloc_free_cap
+let check_words_cap what ~cap words =
+  if words > cap then
+    Alcotest.failf "%s allocates %f minor words/op (cap %g)" what words cap
+
+let check_alloc_free what words = check_words_cap what ~cap:alloc_free_cap words
 
 let test_counters_incr_h_alloc_free () =
   let c = Counters.create () in
@@ -617,6 +618,21 @@ let test_counters_lane_incr_alloc_free () =
   let l = Counters.lane c "dp.packets_done" in
   check_alloc_free "Counters.lane_incr"
     (minor_words_per_op (fun i -> Counters.lane_incr l (i land 3)))
+
+(* The generator's state is unboxed: a draw consumed as an int or a bool
+   allocates nothing, and [float] and [bits64] box only their result (2
+   and 3 words). *)
+let test_rng_draw_words () =
+  let r = Rng.create ~seed:5 in
+  check_alloc_free "Rng.int"
+    (minor_words_per_op (fun i -> ignore (Rng.int r (i + 1))));
+  check_alloc_free "Rng.bool"
+    (minor_words_per_op (fun _ -> ignore (Rng.bool r)));
+  check_words_cap "Rng.float" ~cap:2.0
+    (minor_words_per_op (fun _ ->
+         ignore (Sys.opaque_identity (Rng.float r 1.0))));
+  check_words_cap "Rng.bits64" ~cap:3.0
+    (minor_words_per_op (fun _ -> ignore (Sys.opaque_identity (Rng.bits64 r))))
 
 (* --- Footprint caps ----------------------------------------------------------- *)
 
@@ -684,6 +700,37 @@ let prop_bucket_monotone =
       let lo = Stdlib.min a b and hi = Stdlib.max a b in
       let ilo = Bucket_layout.index_of lo and ihi = Bucket_layout.index_of hi in
       ilo <= ihi && Bucket_layout.upper_of ilo <= Bucket_layout.upper_of ihi)
+
+(* The one-bit-at-a-time highest-bit loop [index_of] used before its
+   six halving steps, kept as the oracle for it. *)
+let index_of_oracle v =
+  let sub_bits = 5 and sub_count = Bucket_layout.sub_count in
+  if v < 2 * sub_count then v
+  else
+    let rec highest_bit x acc =
+      if x <= 1 then acc else highest_bit (x lsr 1) (acc + 1)
+    in
+    let h = highest_bit v 0 in
+    let shift = h - sub_bits in
+    let sub = (v lsr shift) - sub_count in
+    (((h - sub_bits) + 1) * sub_count) + sub
+
+let prop_bucket_index_oracle =
+  QCheck.Test.make ~name:"bucket index_of == highest-bit loop" ~count:2000
+    QCheck.(oneof [ any_bucket_value; int_range 0 max_int ])
+    (fun v -> Bucket_layout.index_of v = index_of_oracle v)
+
+let test_bucket_index_powers () =
+  for k = 0 to Sys.int_size - 2 do
+    let p = 1 lsl k in
+    List.iter
+      (fun v ->
+        checki (Printf.sprintf "index_of %d" v) (index_of_oracle v)
+          (Bucket_layout.index_of v))
+      [ p - 1; p; p + 1 ]
+  done;
+  checki "index_of max_int" (index_of_oracle max_int)
+    (Bucket_layout.index_of max_int)
 
 let test_bucket_saturation () =
   checki "top bucket saturates at max_int" max_int
@@ -769,6 +816,53 @@ let test_rng_split_stable () =
   let r2 = Rng.create ~seed:9 in
   let b = Rng.split r2 "y" in
   Alcotest.(check int64) "stable derivation" (Rng.bits64 a) (Rng.bits64 b)
+
+let test_rng_known_answers () =
+  let r = Rng.create ~seed:42 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "seed 42" want (Rng.bits64 r))
+    [ 0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL;
+      0xb37d9f600cd835b8L ]
+
+(* A child mixes in the parent's current state, so a split taken after a
+   parent draw differs from one taken before; taking it leaves the
+   parent where it was. *)
+let test_rng_split_contract () =
+  let first_child parent = Rng.bits64 (Rng.split parent "child") in
+  let p = Rng.create ~seed:7 in
+  Alcotest.(check int64) "before a draw" 0xaea74efe29af25b9L (first_child p);
+  Alcotest.(check int64) "parent not advanced"
+    (Rng.bits64 (Rng.create ~seed:7)) (Rng.bits64 p);
+  Alcotest.(check int64) "after a draw" 0x01962449efb6992eL (first_child p)
+
+(* Bounds from 1 to [max_int], including [2^61 + 1], which rejects about
+   half the raw draws. *)
+let oracle_bounds =
+  [| 1; 2; 3; 7; 1000; (1 lsl 40) + 1; (1 lsl 61) + 1; max_int |]
+
+let prop_rng_oracle =
+  QCheck.Test.make ~name:"Rng == record-based oracle" ~count:100
+    QCheck.(pair int small_printable_string)
+    (fun (seed, name) ->
+      let r = Rng.create ~seed and o = Rng_legacy.create ~seed in
+      let same_draws draw oracle =
+        List.for_all (fun i -> draw i = oracle i) (List.init 1000 Fun.id)
+      in
+      let same_child () =
+        Rng.bits64 (Rng.split r name)
+        = Rng_legacy.bits64 (Rng_legacy.split o name)
+      in
+      same_child ()
+      && same_draws (fun _ -> Rng.bits64 r) (fun _ -> Rng_legacy.bits64 o)
+      && same_draws
+           (fun i -> Rng.float r (float_of_int (i + 1)))
+           (fun i -> Rng_legacy.float o (float_of_int (i + 1)))
+      && same_draws
+           (fun i -> Rng.int r oracle_bounds.(i mod Array.length oracle_bounds))
+           (fun i ->
+             Rng_legacy.int o oracle_bounds.(i mod Array.length oracle_bounds))
+      && same_draws (fun _ -> Rng.bool r) (fun _ -> Rng_legacy.bool o)
+      && same_child ())
 
 let prop_rng_int_range =
   QCheck.Test.make ~name:"Rng.int in range" ~count:500
@@ -1035,9 +1129,13 @@ let suite =
     ("sim footprint", `Quick, test_sim_footprint);
     ("heap clear then push", `Quick, test_heap_clear_then_push);
     ("bucket layout saturation", `Quick, test_bucket_saturation);
+    ("bucket index_of at powers of two", `Quick, test_bucket_index_powers);
     ("rng determinism", `Quick, test_rng_deterministic);
     ("rng split independence", `Quick, test_rng_split_independent);
     ("rng split stability", `Quick, test_rng_split_stable);
+    ("rng known answers", `Quick, test_rng_known_answers);
+    ("rng split contract", `Quick, test_rng_split_contract);
+    ("rng draws allocate at most their result", `Quick, test_rng_draw_words);
     ("rng bernoulli extremes", `Quick, test_rng_bernoulli_extremes);
     ("dist exponential mean", `Quick, test_dist_exponential_mean);
     ("dist normal moments", `Quick, test_dist_normal_moments);
@@ -1066,6 +1164,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_heap_compact_live_set;
     QCheck_alcotest.to_alcotest prop_rng_int_range;
+    QCheck_alcotest.to_alcotest prop_rng_oracle;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_bounds;
     QCheck_alcotest.to_alcotest prop_histogram_mean_exact;
     QCheck_alcotest.to_alcotest prop_sim_differential;
@@ -1074,6 +1173,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_counters_handle_string_equiv;
     QCheck_alcotest.to_alcotest prop_bucket_upper_covers;
     QCheck_alcotest.to_alcotest prop_bucket_monotone;
+    QCheck_alcotest.to_alcotest prop_bucket_index_oracle;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_reference;
     QCheck_alcotest.to_alcotest prop_histogram_cdf_reference;
   ]

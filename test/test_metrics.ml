@@ -15,6 +15,15 @@ let test_recorder_observe () =
   Alcotest.(check (float 1e-9)) "mean" 20.0 (Recorder.mean r);
   checki "p50" 20 (Recorder.percentile r 50.0)
 
+(* The summary's floats and the histogram's running sum are stored
+   flat, and [Stats.add] is inlined into [Stats.add_int], so a sample
+   boxes nothing. *)
+let test_recorder_observe_alloc_free () =
+  let r = Recorder.create "lat" in
+  Test_engine.check_alloc_free "Recorder.observe"
+    (Test_engine.minor_words_per_op (fun i ->
+         Recorder.observe r (1000 + (i land 1023))))
+
 let test_recorder_throughput () =
   let r = Recorder.create "t" in
   for _ = 1 to 500 do
@@ -331,6 +340,9 @@ let prop_timeline_partitions =
 let suite =
   [
     ("recorder observe", `Quick, test_recorder_observe);
+    ( "recorder observe allocates nothing",
+      `Quick,
+      test_recorder_observe_alloc_free );
     ("recorder throughput", `Quick, test_recorder_throughput);
     ("recorder clear", `Quick, test_recorder_clear);
     ("recorder clear then observe", `Quick, test_recorder_clear_then_observe);

@@ -69,6 +69,29 @@ let test_system_footprint () =
   Test_engine.check_footprint "taichi system after 20 ms of load"
     ~cap:(264 * 1024) sys
 
+(* Minor words per fired engine event over one real cell at seed 42,
+   [--scale 0.05]. The cell runs in this domain, since [Gc.minor_words]
+   counts only the calling domain's allocation. *)
+let words_per_event id key =
+  let (Exp_desc.T d) = Option.get (Experiments.find id) in
+  let cell = List.find (fun c -> c.Exp_desc.key = key) d.cells in
+  let ctx = Run_ctx.for_cell (Run_ctx.create ~experiment:id ()) in
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (d.run_cell ctx ~seed:42 ~scale:0.05 cell));
+  let words = Gc.minor_words () -. w0 in
+  let _, fired = Run_ctx.engine_events ctx in
+  words /. float_of_int fired
+
+let test_words_per_event () =
+  List.iter
+    (fun (id, key) ->
+      let w = words_per_event id key in
+      if w > 45.0 then
+        Alcotest.failf "%s %s allocates %.1f minor words per event (cap 45)" id
+          key w)
+    [ ("fig17", "d2-taichi"); ("multitenant", "burst-t2-skew") ]
+
 let test_warmup_sets_epoch () =
   let sys = System.create ~seed:1 Policy.taichi_default in
   System.warmup sys;
@@ -281,6 +304,7 @@ let suite =
     ("cp affinity per policy", `Quick, test_cp_affinity_per_policy);
     ("warmup sets epoch", `Quick, test_warmup_sets_epoch);
     ("system footprint", `Quick, test_system_footprint);
+    ("minor words per event", `Quick, test_words_per_event);
     ("naive spikes, taichi does not", `Slow, test_naive_spikes_taichi_does_not);
     ("taichi speeds up cp", `Slow, test_taichi_speeds_up_cp);
     ("fig12 ordering shape", `Slow, test_fig12_shape);
