@@ -1,4 +1,5 @@
-.PHONY: all build test examples smoke sweep-check seed-sweep golden-update ci clean
+.PHONY: all build test examples smoke sweep-check seed-sweep golden-update \
+	hotpath-check ci clean
 
 # Cell-level parallelism for the experiment sweeps below. Output and
 # trace exports are byte-identical at any value (see DESIGN.md §11), so
@@ -99,7 +100,34 @@ golden-update: build
 	dune build @test/golden/runtest @test/golden/golden-ci --auto-promote \
 		|| dune build @test/golden/runtest @test/golden/golden-ci
 
-ci: smoke sweep-check
+# The per-event path must compile to monomorphic, cross-module-optimised
+# code (DESIGN.md §16, "What the compiler sees"). Fails when an archive
+# of the ten per-event libraries references a polymorphic comparison or
+# Stdlib's polymorphic min/max, each a C call per use (write Int.min,
+# Int.max, a typed equal or a match instead), or when dune compiles a
+# library module with -opaque or without -strict-sequence, that is,
+# without the dune-workspace profile and its warning flags. faults,
+# fleet and platform are left out: they run per fault, per epoch or per
+# cell, not per event.
+HOTPATH_LIBS = engine accel hw os virt core dataplane controlplane \
+	workloads metrics
+POLY_SYMS = caml_(equal|notequal|lessthan|lessequal|greaterthan|greaterequal|compare)|camlStdlib[.](min|max)_[0-9]+
+
+hotpath-check: build
+	@status=0; \
+	for d in $(HOTPATH_LIBS); do \
+	  a=_build/default/lib/$$d/taichi_$$d.a; \
+	  if [ ! -f $$a ]; then echo "$$a: missing"; status=1; fi; \
+	  if nm -u -A $$a | grep -E " ($(POLY_SYMS))$$"; then status=1; fi; \
+	  rules=$$(dune rules -r _build/default/lib/$$d/taichi_$$d.cmxa); \
+	  if echo "$$rules" | grep -q -- -opaque; then \
+	    echo "lib/$$d: a module is compiled with -opaque"; status=1; fi; \
+	  if ! echo "$$rules" | grep -q -- -strict-sequence; then \
+	    echo "lib/$$d: compiled without -strict-sequence"; status=1; fi; \
+	done; \
+	exit $$status
+
+ci: hotpath-check smoke sweep-check
 
 clean:
 	dune clean

@@ -57,7 +57,7 @@ let set_deliver_hook t hook = t.deliver_hook <- hook
 let cover t core =
   let n = Array.length t.in_flight in
   if core >= n then begin
-    let m = max (core + 1) (2 * n) in
+    let m = Int.max (core + 1) (2 * n) in
     let rings = Array.make m None and in_flight = Array.make m 0 in
     Array.blit t.rings 0 rings 0 n;
     Array.blit t.in_flight 0 in_flight 0 n;

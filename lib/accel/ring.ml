@@ -55,7 +55,7 @@ let push t pkt =
   end
 
 let pop_burst_into t dst ~max =
-  let n = min (min max (Array.length dst)) t.len in
+  let n = Int.min (Int.min max (Array.length dst)) t.len in
   for k = 0 to n - 1 do
     dst.(k) <- t.buf.(wrap t (t.head + k))
   done;
@@ -64,7 +64,7 @@ let pop_burst_into t dst ~max =
   n
 
 let pop_burst t ~max =
-  let n = min max t.len in
+  let n = Int.min max t.len in
   let rec take k acc =
     if k < 0 then acc else take (k - 1) (t.buf.(wrap t (t.head + k)) :: acc)
   in

@@ -57,7 +57,7 @@ let init_task ~rng ~params ~locks ~devices ~affinity ~name =
   in
   Task.create ~affinity ~name ~step:(Program.to_step instrs) ()
 
-let half d = max 1 (d / 2)
+let half d = Int.max 1 (d / 2)
 
 let deinit_task ~rng:_ ~params ~locks ~devices ~affinity ~name =
   let counter = ref 0 in

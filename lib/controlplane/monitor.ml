@@ -48,7 +48,7 @@ let production_ecosystem ~rng ~affinity ~tasks ~target_util () =
       in
       let period = Dist.exponential_ns rng_i ~mean:(Time_ns.ms 15) + Time_ns.ms 2 in
       let work =
-        max (Time_ns.us 20)
+        Int.max (Time_ns.us 20)
           (int_of_float (float_of_int period *. per_task_util))
       in
       let kernel_share = 0.25 +. Rng.float rng_i 0.25 in
@@ -62,7 +62,7 @@ let production_ecosystem ~rng ~affinity ~tasks ~target_util () =
               (* Mix fixed kernel work with a sampled routine tail. *)
               [
                 Program.kernel_routine
-                  (min (kernel_work + Nonpreempt.sample np) (Time_ns.ms 8));
+                  (Int.min (kernel_work + Nonpreempt.sample np) (Time_ns.ms 8));
               ]);
           Program.sleep period;
         ]

@@ -37,7 +37,7 @@ let sample t =
   let p = t.params in
   if Rng.bernoulli t.rng ~p:p.p_long then sample_long t
   else
-    min (p.long_min - 1)
+    Int.min (p.long_min - 1)
       (Dist.lognormal_ns t.rng ~median:p.short_median ~sigma:p.short_sigma)
 
 let fig5_buckets =

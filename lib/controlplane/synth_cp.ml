@@ -24,7 +24,9 @@ let jittered_split rng total n =
   else begin
     let weights = List.init n (fun _ -> 0.7 +. Rng.float rng 0.6) in
     let sum = List.fold_left ( +. ) 0.0 weights in
-    List.map (fun w -> max 1 (int_of_float (float_of_int total *. w /. sum))) weights
+    List.map
+      (fun w -> Int.max 1 (int_of_float (float_of_int total *. w /. sum)))
+      weights
   end
 
 let make ?(tenant = 0) ~rng ~params ~locks ~affinity ~name () =
@@ -35,7 +37,7 @@ let make ?(tenant = 0) ~rng ~params ~locks ~affinity ~name () =
   let user_parts = jittered_split rng user_work params.phases in
   let kernel_parts = jittered_split rng kernel_work params.phases in
   let n_locks = List.length locks in
-  let lock_counter = ref (Rng.int rng (max 1 n_locks)) in
+  let lock_counter = ref (Rng.int rng (Int.max 1 n_locks)) in
   let instrs =
     List.concat
       (List.map2

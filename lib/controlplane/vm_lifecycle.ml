@@ -23,7 +23,7 @@ let at_density ~base d =
   {
     base with
     devices_per_vm =
-      max 1 (int_of_float (float_of_int base.devices_per_vm *. d));
+      Int.max 1 (int_of_float (float_of_int base.devices_per_vm *. d));
   }
 
 let slo = Time_ns.ms 150

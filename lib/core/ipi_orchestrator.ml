@@ -128,7 +128,7 @@ let rec boot_watchdog t kcpu ~on_online ~timeout ~retries ~started =
               blow through the warmup deadline before exhausting the
               retry allowance. *)
            let next =
-             min (2 * timeout) (4 * t.config.Config.boot_retry_timeout)
+             Int.min (2 * timeout) (4 * t.config.Config.boot_retry_timeout)
            in
            boot_watchdog t kcpu ~on_online ~timeout:next
              ~retries:(retries + 1) ~started

@@ -245,7 +245,7 @@ let admit_with_backoff t ?vcpus ?services (spec : Tenant.spec) ~on_admitted
         end
         else begin
           count t t.h_admit_retries;
-          let delay = min cap (base * (1 lsl min n 20)) in
+          let delay = Int.min cap (base * (1 lsl Int.min n 20)) in
           ignore (Sim.after t.sim delay (fun () -> attempt (n + 1)))
         end
   in

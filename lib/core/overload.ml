@@ -126,7 +126,7 @@ let lane_count t l c =
 let make_lane config ~cores ~tid ~tagged =
   (* The sketch window spans a handful of sampling periods, so the p99
      signal reflects the recent regime, not the whole run. *)
-  let slice = Stdlib.max 1 config.Config.overload_period in
+  let slice = Int.max 1 config.Config.overload_period in
   {
     tid;
     tagged;
@@ -229,15 +229,15 @@ let refill_rate t l =
   let base = t.config.Config.overload_tokens_per_period in
   match l.level with
   | Normal | Throttle -> base
-  | Defer -> Stdlib.max 1 (base / 2)
-  | Shed | Static_partition -> Stdlib.max 1 (base / 4)
+  | Defer -> Int.max 1 (base / 2)
+  | Shed | Static_partition -> Int.max 1 (base / 4)
 
 let refill t l =
   let burst = t.config.Config.overload_token_burst in
   let rate = refill_rate t l in
-  l.place_tokens <- Stdlib.min burst (l.place_tokens + rate);
-  l.std_tokens <- Stdlib.min burst (l.std_tokens + rate);
-  l.def_tokens <- Stdlib.min burst (l.def_tokens + rate)
+  l.place_tokens <- Int.min burst (l.place_tokens + rate);
+  l.std_tokens <- Int.min burst (l.std_tokens + rate);
+  l.def_tokens <- Int.min burst (l.def_tokens + rate)
 
 let take_cls_token l cls =
   match cls with
@@ -391,7 +391,7 @@ let sample_busy t l =
             let d = dp_running_dwell t ~core in
             let prev = l.prev_dwell.(core) in
             l.prev_dwell.(core) <- d;
-            acc + Stdlib.max 0 (d - prev))
+            acc + Int.max 0 (d - prev))
           0 cores
       in
       float_of_int total /. float_of_int (period * List.length cores)

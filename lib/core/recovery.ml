@@ -76,7 +76,7 @@ let rearm t =
 let rec schedule_quiet_check t =
   let due = t.last_event + t.config.Config.degraded_quiet + 1 in
   ignore
-    (Sim.at t.sim (max due (Sim.now t.sim)) (fun () ->
+    (Sim.at t.sim (Int.max due (Sim.now t.sim)) (fun () ->
          (* A forced (load-driven) hold pins degraded mode: the quiet
             check stops polling and the eventual [force_release] re-arms
             directly. *)

@@ -39,7 +39,7 @@ let note t ~core h event =
 let on_sustained_idle t ~core =
   if t.config.Config.adaptive_threshold then begin
     let n = t.thresholds.(core) - t.config.Config.threshold_dec in
-    t.thresholds.(core) <- max t.config.Config.threshold_min n;
+    t.thresholds.(core) <- Int.max t.config.Config.threshold_min n;
     note t ~core t.h_sustained_idle "sustained_idle"
   end
 
@@ -47,7 +47,7 @@ let on_false_positive t ~core =
   t.fps.(core) <- t.fps.(core) + 1;
   if t.config.Config.adaptive_threshold then
     t.thresholds.(core) <-
-      min t.config.Config.threshold_max (t.thresholds.(core) * 2);
+      Int.min t.config.Config.threshold_max (t.thresholds.(core) * 2);
   note t ~core t.h_false_positive "false_positive"
 
 let false_positives t ~core = t.fps.(core)

@@ -99,6 +99,18 @@ let short_yield t = 5 * t.config.Config.cost.Cost_model.world_switch + Time_ns.u
 
 let kcpu_of t v = Kernel.cpu t.kernel v.Vcpu.kcpu
 
+(* Matches, not [v.Vcpu.placement = Vcpu.On_core core] or
+   [Core_state.get t.cs ~core = Core_state.Vcpu_running vid], each of
+   which allocates the constructor and calls the polymorphic
+   [caml_equal]. *)
+let on_core v core =
+  match v.Vcpu.placement with Vcpu.On_core c -> c = core | Vcpu.Unplaced -> false
+
+let runs_vid t ~core vid =
+  match Core_state.get t.cs ~core with
+  | Core_state.Vcpu_running v -> v = vid
+  | _ -> false
+
 let has_work t v = Kernel.cpu_has_work (kcpu_of t v)
 
 (* --- observability ------------------------------------------------------- *)
@@ -296,7 +308,7 @@ and on_place_softirq t core =
       t.pending_place.(core) <- None;
       (* The yield may have been revoked (an eviction raced the softirq). *)
       match Hashtbl.find_opt t.placed core with
-      | Some v' when v' == v && v.Vcpu.placement = Vcpu.On_core core ->
+      | Some v' when v' == v && on_core v core ->
           back_on_core t v core ~cause:Core_state.Place
       | Some _ | None -> ())
 
@@ -414,7 +426,7 @@ and on_slice_expiry t core =
       else begin
         Sw_probe.on_sustained_idle t.sw ~core;
         if t.config.Config.adaptive_slice then
-          v.Vcpu.slice <- min (2 * v.Vcpu.slice) t.config.Config.max_slice;
+          v.Vcpu.slice <- Int.min (2 * v.Vcpu.slice) t.config.Config.max_slice;
         charge_core t core (light_exit t);
         if runnable_waiting t then begin
           match pop_runnable t with
@@ -539,7 +551,7 @@ and borrow_check t v cp_id =
            (* The watchdog may have force-ended this borrow between two
               checks; a stale timer must not end it a second time. *)
            Hashtbl.mem t.borrowing v.Vcpu.vid
-           && v.Vcpu.placement = Vcpu.On_core cp_id
+           && on_core v cp_id
          then
            let kc = kcpu_of t v in
            let still_locked =
@@ -664,7 +676,7 @@ let watchdog_check t =
       if
         overdue t v
         && Option.is_none t.pending_place.(core)
-        && Core_state.get t.cs ~core = Core_state.Vcpu_running v.Vcpu.vid
+        && runs_vid t ~core v.Vcpu.vid
         && watchdog_pressure t v core
       then begin
         let stuck_for = Sim.now t.sim - v.Vcpu.last_placed in
@@ -686,10 +698,8 @@ let watchdog_check t =
       | None -> ()
       | Some v -> (
           match v.Vcpu.placement with
-          | Vcpu.On_core cp_id
-            when overdue t v
-                 && Core_state.get t.cs ~core:cp_id
-                    = Core_state.Vcpu_running vid ->
+          | Vcpu.On_core cp_id when overdue t v && runs_vid t ~core:cp_id vid
+            ->
               force_end_borrow t v cp_id
           | Vcpu.On_core _ | Vcpu.Unplaced -> ()))
     borrows;
@@ -781,7 +791,7 @@ let install_invariants t =
                   && List.exists
                        (fun v ->
                          v.Vcpu.vid = vid
-                         && v.Vcpu.placement = Vcpu.On_core core)
+                         && on_core v core)
                        t.vcpu_list
                 in
                 if not borrowed then
@@ -925,7 +935,7 @@ let create ?tenants config machine kernel softirq sw table recovery =
         (fun (core, v) ->
           if
             Option.is_none t.pending_place.(core)
-            && Core_state.get t.cs ~core = Core_state.Vcpu_running v.Vcpu.vid
+            && runs_vid t ~core v.Vcpu.vid
             && not (lockbound t v)
           then evict_to_dp t v core ~cause:Core_state.Watchdog)
         placed);
@@ -947,7 +957,7 @@ let create ?tenants config machine kernel softirq sw table recovery =
 let cover a i fill =
   if i < Array.length a then a
   else begin
-    let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+    let b = Array.make (Int.max (i + 1) (2 * Array.length a)) fill in
     Array.blit a 0 b 0 (Array.length a);
     b
   end
@@ -1034,7 +1044,7 @@ let force_evict_tenant t ~tenant =
       if
         v.Vcpu.tenant = tenant
         && Option.is_none t.pending_place.(core)
-        && Core_state.get t.cs ~core = Core_state.Vcpu_running v.Vcpu.vid
+        && runs_vid t ~core v.Vcpu.vid
         && not (Hashtbl.mem t.borrowing v.Vcpu.vid)
       then begin
         if lockbound t v then begin
@@ -1060,9 +1070,7 @@ let force_evict_tenant t ~tenant =
       match List.find_opt (fun v -> v.Vcpu.vid = vid) t.vcpu_list with
       | Some v when v.Vcpu.tenant = tenant -> (
           match v.Vcpu.placement with
-          | Vcpu.On_core cp_id
-            when Core_state.get t.cs ~core:cp_id
-                 = Core_state.Vcpu_running vid ->
+          | Vcpu.On_core cp_id when runs_vid t ~core:cp_id vid ->
               force_end_borrow t v cp_id
           | Vcpu.On_core _ | Vcpu.Unplaced -> ())
       | Some _ | None -> ())

@@ -220,7 +220,7 @@ let create machine pipeline config =
       pipeline;
       config;
       ring;
-      burst_buf = Array.make (max 1 config.burst) Packet.dummy;
+      burst_buf = Array.make (Int.max 1 config.burst) Packet.dummy;
       hooks = default_hooks ();
       latency = Recorder.create (Printf.sprintf "dp%d.latency" config.core);
       started = false;

@@ -34,7 +34,7 @@ let poisson rng ~lambda =
   end
   else
     let x = normal rng ~mu:lambda ~sigma:(sqrt lambda) in
-    max 0 (int_of_float (x +. 0.5))
+    Int.max 0 (int_of_float (x +. 0.5))
 
 let uniform rng ~lo ~hi = lo +. Rng.float rng (hi -. lo)
 
@@ -74,7 +74,7 @@ let empirical_sample e rng =
     e.values.(i - 1) +. (frac *. (e.values.(i) -. e.values.(i - 1)))
 
 let exponential_ns rng ~mean =
-  max 1 (int_of_float (exponential rng ~mean:(float_of_int mean)))
+  Int.max 1 (int_of_float (exponential rng ~mean:(float_of_int mean)))
 
 let lognormal_ns rng ~median ~sigma =
-  max 1 (int_of_float (lognormal rng ~mu:(log (float_of_int median)) ~sigma))
+  Int.max 1 (int_of_float (lognormal rng ~mu:(log (float_of_int median)) ~sigma))

@@ -25,7 +25,7 @@ let upper_of = Bucket_layout.upper_of
 let ensure h i =
   let cap = Array.length h.buckets in
   if i >= cap then begin
-    let ncap = Stdlib.max (i + 1) (cap * 2) in
+    let ncap = Int.max (i + 1) (cap * 2) in
     let narr = Array.make ncap 0 in
     Array.blit h.buckets 0 narr 0 cap;
     h.buckets <- narr
@@ -53,7 +53,7 @@ let percentile h p =
   if h.n = 0 then invalid_arg "Histogram.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: p out of range";
   let target =
-    Stdlib.max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int h.n)))
+    Int.max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int h.n)))
   in
   (* Indexed scan with early exit: stop at the target bucket instead of
      walking the whole array for every percentile read. *)
@@ -63,11 +63,11 @@ let percentile h p =
     let c = h.buckets.(!i) in
     if c > 0 then begin
       acc := !acc + c;
-      if !acc >= target then result := Stdlib.min (upper_of !i) h.hi
+      if !acc >= target then result := Int.min (upper_of !i) h.hi
     end;
     incr i
   done;
-  Stdlib.max h.lo !result
+  Int.max h.lo !result
 
 let cdf_points h =
   (* Early exit once every sample is accounted for: buckets past the
@@ -89,9 +89,9 @@ let cdf_points h =
 let fraction_below h v =
   if h.n = 0 then 0.0
   else begin
-    let limit = index_of (Stdlib.max 0 v) in
+    let limit = index_of (Int.max 0 v) in
     (* Only buckets below [limit] contribute; never scan past it. *)
-    let last = Stdlib.min limit (Array.length h.buckets) - 1 in
+    let last = Int.min limit (Array.length h.buckets) - 1 in
     let acc = ref 0 in
     for i = 0 to last do
       acc := !acc + h.buckets.(i)

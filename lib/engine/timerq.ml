@@ -144,7 +144,9 @@ let next_nonempty t cr =
 
 (* --- per-bucket min-heaps on packed ints -------------------------------- *)
 
-let bucket_sift_up buf i0 =
+(* Both sifts annotate [buf]: left generic, each comparison would be a
+   [caml_lessthan] call and each store a [caml_modify] barrier. *)
+let bucket_sift_up (buf : int array) i0 =
   let i = ref i0 in
   let continue = ref true in
   while !continue && !i > 0 do
@@ -160,7 +162,7 @@ let bucket_sift_up buf i0 =
     else continue := false
   done
 
-let bucket_sift_down buf len start =
+let bucket_sift_down (buf : int array) len start =
   let i = ref start in
   let continue = ref true in
   while !continue do

@@ -16,9 +16,10 @@
       call sites.
 
     Transitions are validated against a legality matrix. In {!Strict} mode
-    (the default, used by tests) an illegal transition raises; in
-    {!Permissive} mode (release / long soaks) it is applied anyway and
-    counted, so a production run degrades observably instead of crashing.
+    (the default, and the mode every experiment runs in) an illegal
+    transition raises; in {!Permissive} mode it is applied anyway and
+    counted, so a run degrades observably instead of crashing. Only
+    [test_core_state] sets {!Permissive}, through {!set_mode}.
 
     Cross-module agreement is checked by {!audit}: modules register
     invariant closures (kernel backing ⇔ [Vcpu_running], service yielded ⇔

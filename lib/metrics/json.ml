@@ -167,54 +167,52 @@ let rec parse_value cur =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
-  | Some '{' ->
+  | Some '{' -> (
       advance cur;
       skip_ws cur;
-      if peek cur = Some '}' then begin
-        advance cur;
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws cur;
-          let k = parse_string cur in
-          skip_ws cur;
-          expect cur ':';
-          let v = parse_value cur in
-          skip_ws cur;
-          match peek cur with
-          | Some ',' ->
-              advance cur;
-              fields ((k, v) :: acc)
-          | Some '}' ->
-              advance cur;
-              List.rev ((k, v) :: acc)
-          | _ -> fail cur "expected , or } in object"
-        in
-        Obj (fields [])
-      end
-  | Some '[' ->
+      match peek cur with
+      | Some '}' ->
+          advance cur;
+          Obj []
+      | _ ->
+          let rec fields acc =
+            skip_ws cur;
+            let k = parse_string cur in
+            skip_ws cur;
+            expect cur ':';
+            let v = parse_value cur in
+            skip_ws cur;
+            match peek cur with
+            | Some ',' ->
+                advance cur;
+                fields ((k, v) :: acc)
+            | Some '}' ->
+                advance cur;
+                List.rev ((k, v) :: acc)
+            | _ -> fail cur "expected , or } in object"
+          in
+          Obj (fields []))
+  | Some '[' -> (
       advance cur;
       skip_ws cur;
-      if peek cur = Some ']' then begin
-        advance cur;
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value cur in
-          skip_ws cur;
-          match peek cur with
-          | Some ',' ->
-              advance cur;
-              items (v :: acc)
-          | Some ']' ->
-              advance cur;
-              List.rev (v :: acc)
-          | _ -> fail cur "expected , or ] in array"
-        in
-        Arr (items [])
-      end
+      match peek cur with
+      | Some ']' ->
+          advance cur;
+          Arr []
+      | _ ->
+          let rec items acc =
+            let v = parse_value cur in
+            skip_ws cur;
+            match peek cur with
+            | Some ',' ->
+                advance cur;
+                items (v :: acc)
+            | Some ']' ->
+                advance cur;
+                List.rev (v :: acc)
+            | _ -> fail cur "expected , or ] in array"
+          in
+          Arr (items []))
   | Some '"' -> Str (parse_string cur)
   | Some 't' -> literal cur "true" (Bool true)
   | Some 'f' -> literal cur "false" (Bool false)

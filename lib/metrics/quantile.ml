@@ -8,7 +8,7 @@
 open Taichi_engine
 
 let bucket_cap = 1024
-let index_of v = Stdlib.min (Bucket_layout.index_of v) (bucket_cap - 1)
+let index_of v = Int.min (Bucket_layout.index_of v) (bucket_cap - 1)
 let upper_of = Bucket_layout.upper_of
 
 type t = {
@@ -69,7 +69,7 @@ let advance t ~now =
 
 let observe t ~now v =
   advance t ~now;
-  let v = Stdlib.max 0 v in
+  let v = Int.max 0 v in
   let i = index_of v in
   let slot = t.head mod t.slices in
   t.ring.(slot).(i) <- t.ring.(slot).(i) + 1;
@@ -87,7 +87,7 @@ let quantile t ~now q =
   if t.n = 0 then None
   else begin
     let target =
-      Stdlib.max 1 (int_of_float (ceil (q /. 100.0 *. float_of_int t.n)))
+      Int.max 1 (int_of_float (ceil (q /. 100.0 *. float_of_int t.n)))
     in
     let acc = ref 0 and i = ref 0 and result = ref 0 in
     while !acc < target && !i < bucket_cap do

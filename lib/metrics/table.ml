@@ -16,7 +16,7 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc cells -> max acc (String.length (List.nth cells i)))
+          (fun acc cells -> Int.max acc (String.length (List.nth cells i)))
           (String.length h) rows)
       headers
   in

@@ -36,7 +36,7 @@ let of_trace ~cores ~duration trace =
   let since = Array.make cores 0 in
   let counts : (string, int ref) Hashtbl.t = Hashtbl.create 32 in
   let account core upto =
-    let d = max 0 (min upto duration - since.(core)) in
+    let d = Int.max 0 (Int.min upto duration - since.(core)) in
     if d > 0 then begin
       let o = occ.(core) in
       occ.(core) <-
@@ -46,7 +46,7 @@ let of_trace ~cores ~duration trace =
         | Switch -> { o with switch = o.switch + d }
         | Idle -> { o with idle = o.idle + d })
     end;
-    since.(core) <- min upto duration
+    since.(core) <- Int.min upto duration
   in
   Trace.iter trace (fun r ->
       (match Hashtbl.find_opt counts r.Trace.category with

@@ -190,7 +190,7 @@ let pause_run t c =
       let done_work = unscale c elapsed in
       (match Hashtbl.find_opt t.pending task.Task.tid with
       | Some (left, mode) ->
-          Hashtbl.replace t.pending task.Task.tid (max 0 (left - done_work), mode)
+          Hashtbl.replace t.pending task.Task.tid (Int.max 0 (left - done_work), mode)
       | None -> ());
       task.Task.cpu_time <- task.Task.cpu_time + done_work;
       charge t c Accounting.Cp_work elapsed
@@ -437,7 +437,7 @@ and exit_task t c task =
 
 and start_run t c task work =
   c.run_started <- Sim.now t.sim;
-  let wall = max 1 (scale c work) in
+  let wall = Int.max 1 (scale c work) in
   c.run_handle <- Some (Sim.after t.sim wall (fun () -> finish_run t c task))
 
 and finish_run t c task =
@@ -621,7 +621,7 @@ let register_cpu t c =
                c.on_online <- None;
                dispatch t c)));
   if c.cid >= Array.length t.cpus then begin
-    let a = Array.make (max (c.cid + 1) (2 * Array.length t.cpus)) None in
+    let a = Array.make (Int.max (c.cid + 1) (2 * Array.length t.cpus)) None in
     Array.blit t.cpus 0 a 0 (Array.length t.cpus);
     t.cpus <- a
   end;

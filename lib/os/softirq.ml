@@ -43,7 +43,7 @@ let key ~cpu ~vector =
 let ensure t k =
   let n = Array.length t.pending in
   if k >= n then begin
-    let m = max (k + vectors - (k mod vectors)) (2 * n) in
+    let m = Int.max (k + vectors - (k mod vectors)) (2 * n) in
     let handlers = Array.make m None and pending = Array.make m false in
     Array.blit t.handlers 0 handlers 0 n;
     Array.blit t.pending 0 pending 0 n;

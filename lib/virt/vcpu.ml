@@ -32,13 +32,16 @@ let create ~vid ~kcpu ~initial_slice =
 let record_exit t reason =
   let rec bump = function
     | [] -> [ (reason, 1) ]
-    | (r, n) :: rest when r = reason -> (r, n + 1) :: rest
+    | (r, n) :: rest when Vmexit.equal r reason -> (r, n + 1) :: rest
     | pair :: rest -> pair :: bump rest
   in
   t.exits <- bump t.exits
 
-let exit_count t reason =
-  match List.assoc_opt reason t.exits with Some n -> n | None -> 0
+let rec count_of reason = function
+  | [] -> 0
+  | (r, n) :: rest -> if Vmexit.equal r reason then n else count_of reason rest
+
+let exit_count t reason = count_of reason t.exits
 
 let total_exits t = List.fold_left (fun acc (_, n) -> acc + n) 0 t.exits
 

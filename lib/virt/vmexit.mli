@@ -16,5 +16,6 @@ type t =
   | Halt  (** the vCPU went idle (no runnable control-plane work) *)
   | External of string  (** any other host-initiated exit *)
 
+val equal : t -> t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

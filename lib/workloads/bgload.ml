@@ -45,14 +45,14 @@ let start client rng ~params ~cores ~kind ~size ~until =
         if Sim.now sim < until then begin
           if Sim.now sim >= !phase_ends then next_phase ();
           let rate = if !in_hi then hi_rate else lo_rate in
-          let n = max 1 (Dist.poisson rng ~lambda:p.burst_mean) in
+          let n = Int.max 1 (Dist.poisson rng ~lambda:p.burst_mean) in
           for _ = 1 to n do
             Client.submit_background client ~kind ~size ~core
           done;
           let gap =
             Dist.exponential rng ~mean:(float_of_int n /. rate)
           in
-          ignore (Sim.after sim (max 1 (int_of_float gap)) burst)
+          ignore (Sim.after sim (Int.max 1 (int_of_float gap)) burst)
         end
       in
       (* Desynchronize cores. *)

@@ -102,7 +102,7 @@ let window_stats arr =
   if n <= 2 then (0.0, 0.0)
   else begin
     let interior = Array.sub arr 1 (n - 2) in
-    let mx = Array.fold_left max 0 interior in
+    let mx = Array.fold_left Int.max 0 interior in
     let sum = Array.fold_left ( + ) 0 interior in
     (float_of_int mx, float_of_int sum /. float_of_int (Array.length interior))
   end

@@ -10,7 +10,7 @@ let sample_utilizations rng ~n =
       in
       Float.max 0.004 (Float.min 1.0 base))
 
-let fraction_below samples x =
+let fraction_below (samples : float array) x =
   let below = Array.fold_left (fun acc v -> if v < x then acc + 1 else acc) 0 samples in
   float_of_int below /. float_of_int (Array.length samples)
 
@@ -34,7 +34,7 @@ let diurnal ~phase =
 type flash_crowd = { at : float; magnitude : float; width : float }
 
 let flash_crowds rng ~n =
-  List.init (max 0 n) (fun _ ->
+  List.init (Int.max 0 n) (fun _ ->
       {
         at = Rng.float rng 1.0;
         magnitude = Dist.uniform rng ~lo:1.5 ~hi:4.0;

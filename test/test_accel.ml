@@ -198,7 +198,39 @@ let test_vcpu_exit_histogram () =
   checki "timeslice" 2 (Vcpu.exit_count v Vmexit.Timeslice_expired);
   checki "probe" 1 (Vcpu.exit_count v Vmexit.Hw_probe_irq);
   checki "halt" 0 (Vcpu.exit_count v Vmexit.Halt);
-  checki "total" 3 (Vcpu.total_exits v)
+  checki "total" 3 (Vcpu.total_exits v);
+  (* [External] reasons count by text, not by physical string. *)
+  Vcpu.record_exit v (Vmexit.External "nmi");
+  Vcpu.record_exit v (Vmexit.External (String.concat "" [ "n"; "mi" ]));
+  Vcpu.record_exit v (Vmexit.External "msr");
+  checki "external nmi" 2 (Vcpu.exit_count v (Vmexit.External "nmi"));
+  checki "external msr" 1 (Vcpu.exit_count v (Vmexit.External "msr"));
+  checki "total with external" 6 (Vcpu.total_exits v)
+
+(* [Vmexit.equal] against structural equality over every pair of
+   reasons: [External] payloads compare by text. *)
+let test_vmexit_equal () =
+  let reasons =
+    Vmexit.
+      [
+        Timeslice_expired;
+        Hw_probe_irq;
+        Ipi_send;
+        Halt;
+        External "nmi";
+        External (String.concat "" [ "n"; "mi" ]);
+        External "msr";
+      ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          checkb
+            (Vmexit.to_string a ^ " vs " ^ Vmexit.to_string b)
+            (a = b) (Vmexit.equal a b))
+        reasons)
+    reasons
 
 let test_vcpu_placement () =
   let v = Vcpu.create ~vid:1 ~kcpu:13 ~initial_slice:(Time_ns.us 50) in
@@ -363,6 +395,7 @@ let suite =
     ("pipeline in-flight tracking", `Quick, test_pipeline_in_flight);
     ("vcpu exit histogram", `Quick, test_vcpu_exit_histogram);
     ("vcpu placement", `Quick, test_vcpu_placement);
+    ("vmexit equal", `Quick, test_vmexit_equal);
     ("cost model defaults", `Quick, test_cost_model_defaults);
     ("packet arena misuse", `Quick, test_arena_misuse);
     ("packet create allocates", `Quick, test_packet_create_allocates);

@@ -269,18 +269,23 @@ let test_json_roundtrip () =
         ("c", Float 1.5);
         ("d", Obj []);
         ("e", Int (-42));
+        ("f", Arr [ Arr []; Obj [] ]);
       ]
   in
   let s = to_string v in
   checkb "roundtrip" true (parse s = v);
   checkb "whitespace tolerated" true
-    (parse " { \"k\" : [ 1 , 2 ] } " = Obj [ ("k", Arr [ Int 1; Int 2 ]) ])
+    (parse " { \"k\" : [ 1 , 2 ] } " = Obj [ ("k", Arr [ Int 1; Int 2 ]) ]);
+  checkb "empty containers with whitespace" true
+    (parse "{ \"a\" : [ ] , \"b\" : { } }" = Obj [ ("a", Arr []); ("b", Obj []) ])
 
 let test_json_rejects_malformed () =
   checkb "unterminated" true (Json.parse_opt "{\"a\":" = None);
   checkb "trailing garbage" true (Json.parse_opt "1 2" = None);
   checkb "bare word" true (Json.parse_opt "nope" = None);
-  checkb "dangling comma" true (Json.parse_opt "[1,]" = None)
+  checkb "dangling comma" true (Json.parse_opt "[1,]" = None);
+  checkb "unclosed empty object" true (Json.parse_opt "{" = None);
+  checkb "unclosed empty array" true (Json.parse_opt "[ " = None)
 
 (* --- Timeline -------------------------------------------------------------- *)
 
