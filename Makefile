@@ -102,16 +102,19 @@ golden-update: build
 
 # The per-event path must compile to monomorphic, cross-module-optimised
 # code (DESIGN.md §16, "What the compiler sees"). Fails when an archive
-# of the ten per-event libraries references a polymorphic comparison or
-# Stdlib's polymorphic min/max, each a C call per use (write Int.min,
-# Int.max, a typed equal or a match instead), or when dune compiles a
-# library module with -opaque or without -strict-sequence, that is,
-# without the dune-workspace profile and its warning flags. faults,
-# fleet and platform are left out: they run per fault, per epoch or per
-# cell, not per event.
+# of the ten per-event libraries references a polymorphic comparison,
+# Stdlib's polymorphic min/max, or a Stdlib List function that compares
+# through the polymorphic compare inside Stdlib (mem, assoc, assoc_opt,
+# mem_assoc, remove_assoc), each a C call per use or per element (write
+# Int.min, Int.max, a typed equal, a match or a recursive helper over
+# Int.equal/String.equal instead), or when dune compiles a library
+# module with -opaque or without -strict-sequence, that is, without the
+# dune-workspace profile and its warning flags. faults, fleet and
+# platform are left out: they run per fault, per epoch or per cell, not
+# per event.
 HOTPATH_LIBS = engine accel hw os virt core dataplane controlplane \
 	workloads metrics
-POLY_SYMS = caml_(equal|notequal|lessthan|lessequal|greaterthan|greaterequal|compare)|camlStdlib[.](min|max)_[0-9]+
+POLY_SYMS = caml_(equal|notequal|lessthan|lessequal|greaterthan|greaterequal|compare)|camlStdlib[.](min|max)_[0-9]+|camlStdlib__List[.](mem|assoc|assoc_opt|mem_assoc|remove_assoc)_[0-9]+
 
 hotpath-check: build
 	@status=0; \

@@ -22,6 +22,12 @@ type t = {
 let create taichi =
   { taichi; sim = Machine.sim (Taichi.machine taichi); active = false; completed = 0 }
 
+(* Not [List.mem]: Stdlib's compares polymorphically, a C call per
+   element. *)
+let rec mem_cid cid = function
+  | [] -> false
+  | c :: rest -> Int.equal c cid || mem_cid cid rest
+
 let total_exits t =
   List.fold_left (fun acc v -> acc + Vcpu.total_exits v) 0 (Taichi.vcpus t.taichi)
 
@@ -41,7 +47,7 @@ let start t task ~duration ~on_report =
   (match task.Task.cpu with
   | Some cid ->
       let c = Kernel.cpu (Taichi.kernel t.taichi) cid in
-      if not (List.mem cid domain) then
+      if not (mem_cid cid domain) then
         Kernel.requeue_if_preemptible (Taichi.kernel t.taichi) c
   | None -> ());
   ignore
@@ -49,7 +55,7 @@ let start t task ~duration ~on_report =
          (* Transparent restoration. *)
          task.Task.affinity <- saved_affinity;
          (match task.Task.cpu with
-         | Some cid when saved_affinity <> [] && not (List.mem cid saved_affinity)
+         | Some cid when saved_affinity <> [] && not (mem_cid cid saved_affinity)
            ->
              let c = Kernel.cpu (Taichi.kernel t.taichi) cid in
              Kernel.requeue_if_preemptible (Taichi.kernel t.taichi) c

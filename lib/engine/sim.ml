@@ -1,15 +1,18 @@
 (* The event engine hot path: a preallocated slot pool (callback and
    generation/state arrays recycled through a free list) feeding the
-   calendar queue ({!Timerq}). Scheduling allocates nothing at all —
-   no closures, no per-event heap entries on the wheel path, and the
-   handle returned to the caller is a single immediate int packing the
-   slot index (low bits) with the slot's generation word (high bits).
-   Fire order is strict (time, seq), identical to the seed binary-heap
-   engine, which the test suite keeps as [Sim_legacy] and checks
-   op-for-op with differential qcheck properties.
+   calendar queue ({!Timerq}), which links its wheel entries through
+   arrays indexed by the same slots. Below the wheel's horizon a
+   schedule allocates nothing of the engine's own (the callback is the
+   caller's), and the handle returned to the caller is a single
+   immediate int packing the slot index (low bits) with the slot's
+   generation word (high bits). Fire order is strict (time, seq),
+   identical to the seed binary-heap engine, which the test suite keeps
+   as [Sim_legacy] and checks op-for-op with differential qcheck
+   properties.
 
-   Slot lifecycle: allocated by [at], freed when its queue entry is
-   dequeued or compacted away (single ownership by the queue entry).
+   Slot lifecycle: allocated by [at] or [at_reserved], freed when its
+   queue entry is dequeued or compacted away (single ownership by the
+   queue entry, which lets the queue link entries through their slots).
    A slot's [gens] word packs its generation in the high bits with a
    tombstone flag in bit 0: cancellation flips the flag (the entry
    stays queued until popped or compacted, mirroring the seed engine's

@@ -5,13 +5,14 @@
     making every run deterministic.
 
     Internally the engine is a calendar timer queue ({!Timerq}: a 512 ns
-    x 4096-bucket wheel with a binary-heap overflow tier) fed by a
-    preallocated event pool with free-list recycling, so the schedule /
-    cancel / fire hot path allocates nothing: no closures, no per-event
-    queue nodes, and handles are immediate ints (slot index packed with
-    the slot generation). Fire order is bit-identical to the seed
-    binary-heap engine, which the test suite keeps as [Sim_legacy] and
-    enforces as a differential oracle. *)
+    x 4096-bucket wheel of linked lists with a binary-heap overflow
+    tier) fed by a preallocated event pool with free-list recycling.
+    Below the ~2.1 ms horizon the schedule / cancel / fire path
+    allocates nothing beyond the caller's callback: queue entries live
+    in arrays indexed by pool slot, and handles are immediate ints (slot
+    index packed with the slot generation). Fire order is bit-identical
+    to the seed binary-heap engine, which the test suite keeps as
+    [Sim_legacy] and enforces as a differential oracle. *)
 
 type t
 (** A simulator instance. *)
@@ -92,9 +93,10 @@ val has_event_before : t -> time:Time_ns.t -> seq:int -> bool
 
 val dead_events : t -> int
 (** [dead_events sim] is the number of cancelled tombstones currently
-    sitting in the event heap. Cancellation is lazy; tombstones are swept
-    either on pop or by compaction when they exceed ~2x the live count. *)
+    sitting in the event queue. Cancellation is lazy; tombstones are
+    swept either on pop or by compaction when they exceed ~2x the live
+    count. *)
 
 val compactions : t -> int
-(** [compactions sim] counts in-place heap rebuilds triggered by tombstone
-    accumulation since creation. *)
+(** [compactions sim] counts in-place queue compactions triggered by
+    tombstone accumulation since creation. *)

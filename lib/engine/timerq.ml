@@ -2,29 +2,30 @@
    2^slot_bits ns, backed by the binary heap ({!Pheap}) as an overflow
    tier for timers beyond the wheel horizon (~2.1 ms). The dominant
    near-future timer pattern (slice timers, hardware windows, poll
-   periods) lands in the wheel at O(1) amortized cost on cache-friendly
-   int arrays; the rare far-future timer (watchdogs, think times) pays
-   the heap's O(log n).
+   periods) lands in the wheel at O(1) cost on int arrays; the rare
+   far-future timer (watchdogs, think times) pays the heap's O(log n).
 
-   Payloads are bare ints (pool slots owned by {!Sim}); inside a bucket
-   an entry is a packed key int — (time - bucket_start) above bit 53,
-   the insertion sequence number in the low 53 bits — so same-bucket
-   ordering is one integer comparison and pushes allocate nothing. Key
-   and payload sit adjacent in one stride-2 array (entry j is
-   [buf.(2j), buf.(2j+1)]): a sift touches half the cache lines the
-   parallel-arrays layout would.
+   Payloads are bare ints: pool slots owned by {!Sim}, each queued at
+   most once at a time. A bucket is a singly linked list threaded
+   through three slot-indexed arrays ([times], [seqs], [next]), so an
+   entry lives in its slot's cells and no bucket owns a buffer. The
+   queue grows the three arrays to cover the largest slot it is handed.
 
-   Footprint: a fresh queue holds only the ring's spine ([bufs], [blen]:
-   4,096 words each) and the bitmap. A bucket's buffer is allocated the
-   first time an entry lands in it (16 ints: 8 entries) and is kept for
-   reuse, so the buffers grow bucket by bucket as the clock sweeps the
-   ring: 4,096 x 17 words once every bucket has been used, more only
-   where a bucket ever held more than 8 entries.
+   Only the bucket the cursor has reached is kept in (time, seq) order:
+   a push into any other bucket prepends in O(1), and [find_next] sorts
+   a bucket once, with a bottom-up merge sort over the links, when the
+   cursor first lands on it. A push into that sorted bucket is an
+   ordered insert, so a dense bucket pays one sort, not an O(k) insert
+   per push.
+
+   Footprint: a fresh queue holds the ring's heads (4,096 words) and
+   the bitmap; the slot arrays grow with the owner's pool, three words
+   per slot.
 
    Determinism contract: entries dequeue in strict (time, seq) order,
-   identical to a global (key, seq) binary heap. The wheel cannot
-   reorder: bucket index is a pure function of time, the packed key
-   restores (offset, seq) lexicographic order within a bucket, and the
+   identical to a global (time, seq) binary heap. The wheel cannot
+   reorder: bucket index is a pure function of time, the head bucket is
+   sorted on (time, seq) before its first entry is read, and the
    overflow tier only holds entries strictly beyond every wheel entry.
 
    Aliasing invariant: every queued entry's absolute bucket lies in
@@ -39,34 +40,27 @@ let slot_bits = 9 (* bucket width: 512 ns *)
 let wheel_bits = 12 (* 4096 buckets; horizon = 4096 * 512 ns ~ 2.1 ms *)
 let n_buckets = 1 lsl wheel_bits
 let bucket_mask = n_buckets - 1
-let seq_bits = 53
-let seq_mask = (1 lsl seq_bits) - 1
-
-(* The packed in-bucket key [(offset lsl seq_bits) lor seq] orders
-   correctly only while it stays a non-negative native int: offset <
-   2^slot_bits and seq < 2^seq_bits must fit in Sys.int_size - 1 (62)
-   bits. At 512 ns that holds with no spare bit; a wider bucket would
-   wrap keys negative and silently reorder events, so refuse to load. *)
-let () =
-  if slot_bits + seq_bits > Sys.int_size - 1 then
-    failwith "Timerq: slot_bits + seq_bits exceed the native int's value bits"
 
 (* Occupancy bitmap: 32 buckets per l0 word, 32 l0 words per l1 bit, so
    finding the next nonempty bucket is a couple of word reads instead of
-   a linear [blen] scan — what keeps the scan cheap when events are
-   sparse (a 1 ms gap is ~2k buckets at 512 ns each). *)
+   a linear scan of the heads — what keeps the scan cheap when events
+   are sparse (a 1 ms gap is ~2k buckets at 512 ns each). *)
 let word_bits = 5 (* 32 bucket bits per l0 word *)
 let word_mask = (1 lsl word_bits) - 1
 let l0_words = n_buckets lsr word_bits
 let l1_words = (l0_words lsr word_bits) + (if l0_words land word_mask = 0 then 0 else 1)
 
 type t = {
-  bufs : int array array; (* per-bucket stride-2 min-heaps: key, payload *)
-  blen : int array; (* entries (pairs), not ints *)
+  heads : int array; (* first slot of each ring bucket's list; -1: empty *)
   l0 : int array; (* bit per ring bucket: nonempty *)
   l1 : int array; (* bit per l0 word: nonzero *)
+  (* per slot, valid while the slot is queued in the wheel *)
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable next : int array; (* next slot in the same bucket; -1 ends it *)
   mutable base : int; (* absolute bucket of the owner's clock *)
   mutable cursor : int; (* no nonempty bucket lies below this *)
+  mutable sorted : int; (* absolute bucket whose list is in order; -1: none *)
   mutable wheel_count : int;
   mutable next_in_wheel : bool; (* where find_next located the minimum *)
   overflow : int Pheap.t;
@@ -74,12 +68,15 @@ type t = {
 
 let create () =
   {
-    bufs = Array.make n_buckets [||];
-    blen = Array.make n_buckets 0;
+    heads = Array.make n_buckets (-1);
     l0 = Array.make l0_words 0;
     l1 = Array.make l1_words 0;
+    times = [||];
+    seqs = [||];
+    next = [||];
     base = 0;
     cursor = 0;
+    sorted = -1;
     wheel_count = 0;
     next_in_wheel = true;
     overflow = Pheap.create ();
@@ -142,71 +139,102 @@ let next_nonempty t cr =
     (w lsl word_bits) + ctz t.l0.(w)
   end
 
-(* --- per-bucket min-heaps on packed ints -------------------------------- *)
+(* --- bucket lists ------------------------------------------------------------ *)
 
-(* Both sifts annotate [buf]: left generic, each comparison would be a
-   [caml_lessthan] call and each store a [caml_modify] barrier. *)
-let bucket_sift_up (buf : int array) i0 =
-  let i = ref i0 in
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let p = (!i - 1) / 2 in
-    if buf.(2 * !i) < buf.(2 * p) then begin
-      let k = buf.(2 * p) and s = buf.((2 * p) + 1) in
-      buf.(2 * p) <- buf.(2 * !i);
-      buf.((2 * p) + 1) <- buf.((2 * !i) + 1);
-      buf.(2 * !i) <- k;
-      buf.((2 * !i) + 1) <- s;
-      i := p
-    end
-    else continue := false
-  done
+(* Whether queued slot [a] orders strictly before queued slot [b]. *)
+let[@inline] before t a b =
+  let ta = t.times.(a) and tb = t.times.(b) in
+  ta < tb || (ta = tb && t.seqs.(a) < t.seqs.(b))
 
-let bucket_sift_down (buf : int array) len start =
-  let i = ref start in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let m = ref !i in
-    if l < len && buf.(2 * l) < buf.(2 * !m) then m := l;
-    if r < len && buf.(2 * r) < buf.(2 * !m) then m := r;
-    if !m <> !i then begin
-      let k = buf.(2 * !m) and s = buf.((2 * !m) + 1) in
-      buf.(2 * !m) <- buf.(2 * !i);
-      buf.((2 * !m) + 1) <- buf.((2 * !i) + 1);
-      buf.(2 * !i) <- k;
-      buf.((2 * !i) + 1) <- s;
-      i := !m
-    end
-    else continue := false
-  done
+let grow t slot =
+  let cap = Int.max (slot + 1) (2 * Array.length t.next) in
+  let extend (a : int array) =
+    let na = Array.make cap 0 in
+    Array.blit a 0 na 0 (Array.length a);
+    na
+  in
+  t.times <- extend t.times;
+  t.seqs <- extend t.seqs;
+  t.next <- extend t.next
+
+(* Link [slot] into the sorted list of ring bucket [s], after every
+   entry that orders before it. *)
+let insert_sorted t s slot =
+  let h = t.heads.(s) in
+  if before t slot h then begin
+    t.next.(slot) <- h;
+    t.heads.(s) <- slot
+  end
+  else begin
+    let prev = ref h and cur = ref t.next.(h) in
+    while !cur >= 0 && before t !cur slot do
+      prev := !cur;
+      cur := t.next.(!cur)
+    done;
+    t.next.(slot) <- !cur;
+    t.next.(!prev) <- slot
+  end
+
+(* Bottom-up merge sort of ring bucket [s]'s list: each pass merges
+   neighbouring runs of [width] entries into runs of twice that, until
+   one pass makes a single merge. Only the links move; nothing is
+   allocated. *)
+let sort_bucket t s =
+  let next = t.next in
+  let list = ref t.heads.(s) in
+  let width = ref 1 and merges = ref 2 in
+  while !merges > 1 do
+    let p = ref !list and tail = ref (-1) in
+    merges := 0;
+    while !p >= 0 do
+      incr merges;
+      let q = ref !p and psize = ref 0 in
+      while !psize < !width && !q >= 0 do
+        incr psize;
+        q := next.(!q)
+      done;
+      let qsize = ref !width in
+      while !psize > 0 || (!qsize > 0 && !q >= 0) do
+        let e =
+          if !psize = 0 || (!qsize > 0 && !q >= 0 && before t !q !p) then begin
+            let e = !q in
+            q := next.(e);
+            decr qsize;
+            e
+          end
+          else begin
+            let e = !p in
+            p := next.(e);
+            decr psize;
+            e
+          end
+        in
+        if !tail < 0 then list := e else next.(!tail) <- e;
+        tail := e
+      done;
+      p := !q
+    done;
+    next.(!tail) <- -1;
+    width := 2 * !width
+  done;
+  t.heads.(s) <- !list
 
 let wheel_push t b ~time ~seq slot =
+  if slot >= Array.length t.next then grow t slot;
+  t.times.(slot) <- time;
+  t.seqs.(slot) <- seq;
   let s = b land bucket_mask in
-  let len = t.blen.(s) in
-  let buf =
-    let buf = t.bufs.(s) in
-    if 2 * len = Array.length buf then begin
-      let ncap = if len = 0 then 16 else 4 * len in
-      let nb = Array.make ncap 0 in
-      Array.blit buf 0 nb 0 (2 * len);
-      t.bufs.(s) <- nb;
-      nb
-    end
-    else buf
-  in
-  let packed = ((time - (b lsl slot_bits)) lsl seq_bits) lor seq in
-  buf.(2 * len) <- packed;
-  buf.((2 * len) + 1) <- slot;
-  t.blen.(s) <- len + 1;
-  if len = 0 then mark_nonempty t s;
-  bucket_sift_up buf len;
+  let h = t.heads.(s) in
+  if h >= 0 && b = t.sorted then insert_sorted t s slot
+  else begin
+    t.next.(slot) <- h;
+    t.heads.(s) <- slot;
+    if h < 0 then mark_nonempty t s
+  end;
   t.wheel_count <- t.wheel_count + 1;
   if b < t.cursor then t.cursor <- b
 
 let push t ~time ~seq slot =
-  if seq land seq_mask <> seq then
-    invalid_arg "Timerq.push: seq out of packable range";
   let b = time lsr slot_bits in
   if b - t.base < n_buckets then wheel_push t b ~time ~seq slot
   else Pheap.push t.overflow ~key:time ~seq slot
@@ -241,9 +269,15 @@ let advance t ~now =
 let find_next t =
   if t.wheel_count > 0 then begin
     let cr = t.cursor land bucket_mask in
-    if t.blen.(cr) = 0 then begin
+    if t.heads.(cr) < 0 then begin
       let r = next_nonempty t cr in
       t.cursor <- t.cursor + ((r - cr) land bucket_mask)
+    end;
+    (* The cursor's first visit sorts its bucket; one entry is in order. *)
+    if t.sorted <> t.cursor then begin
+      let s = t.cursor land bucket_mask in
+      if t.next.(t.heads.(s)) >= 0 then sort_bucket t s;
+      t.sorted <- t.cursor
     end;
     t.next_in_wheel <- true;
     true
@@ -257,31 +291,22 @@ let find_next t =
 (* The next_* accessors and [drop_next] assume the last [find_next]
    returned true and nothing was pushed, dropped or advanced since. *)
 
+let head t = t.heads.(t.cursor land bucket_mask)
+
 let next_time t =
-  if t.next_in_wheel then
-    (t.cursor lsl slot_bits) + (t.bufs.(t.cursor land bucket_mask).(0) lsr seq_bits)
-  else Pheap.top_key t.overflow
+  if t.next_in_wheel then t.times.(head t) else Pheap.top_key t.overflow
 
 let next_seq t =
-  if t.next_in_wheel then t.bufs.(t.cursor land bucket_mask).(0) land seq_mask
-  else Pheap.top_seq t.overflow
+  if t.next_in_wheel then t.seqs.(head t) else Pheap.top_seq t.overflow
 
-let next_slot t =
-  if t.next_in_wheel then t.bufs.(t.cursor land bucket_mask).(1)
-  else Pheap.top_value t.overflow
+let next_slot t = if t.next_in_wheel then head t else Pheap.top_value t.overflow
 
 let drop_next t =
   if t.next_in_wheel then begin
     let s = t.cursor land bucket_mask in
-    let buf = t.bufs.(s) in
-    let len = t.blen.(s) - 1 in
-    t.blen.(s) <- len;
-    if len > 0 then begin
-      buf.(0) <- buf.(2 * len);
-      buf.(1) <- buf.((2 * len) + 1);
-      bucket_sift_down buf len 0
-    end
-    else mark_empty t s;
+    let h = t.next.(t.heads.(s)) in
+    t.heads.(s) <- h;
+    if h < 0 then mark_empty t s;
     t.wheel_count <- t.wheel_count - 1
   end
   else Pheap.drop t.overflow
@@ -290,32 +315,38 @@ let drop_next t =
 
 (* Valid under the same precondition as the next_* accessors. *)
 let head_in_wheel t = t.next_in_wheel
-let head_bucket_len t = t.blen.(t.cursor land bucket_mask)
+
+let head_bucket_len t =
+  let n = ref 0 and cur = ref (head t) in
+  while !cur >= 0 do
+    incr n;
+    cur := t.next.(!cur)
+  done;
+  !n
 
 (* --- tombstone compaction ------------------------------------------------ *)
 
+(* Unlinking keeps the survivors' order, so a sorted bucket stays
+   sorted. *)
 let compact_bucket t ~keep s =
-  let len = t.blen.(s) in
-  let buf = t.bufs.(s) in
-  let j = ref 0 in
-  for i = 0 to len - 1 do
-    if keep buf.((2 * i) + 1) then begin
-      buf.(2 * !j) <- buf.(2 * i);
-      buf.((2 * !j) + 1) <- buf.((2 * i) + 1);
-      incr j
+  let prev = ref (-1) and cur = ref t.heads.(s) in
+  while !cur >= 0 do
+    let nx = t.next.(!cur) in
+    if keep !cur then begin
+      if !prev < 0 then t.heads.(s) <- !cur else t.next.(!prev) <- !cur;
+      prev := !cur
     end
+    else t.wheel_count <- t.wheel_count - 1;
+    cur := nx
   done;
-  t.wheel_count <- t.wheel_count - (len - !j);
-  t.blen.(s) <- !j;
-  if !j = 0 then mark_empty t s;
-  (* Floyd heapify restores the per-bucket invariant in O(len). *)
-  for i = (!j / 2) - 1 downto 0 do
-    bucket_sift_down buf !j i
-  done
+  if !prev < 0 then begin
+    t.heads.(s) <- -1;
+    mark_empty t s
+  end
+  else t.next.(!prev) <- -1
 
 (* Only occupied buckets are visited, found through the [l0] words in
-   ascending ring order — the order [keep] sees (and frees) slots in
-   matches a full scan, so the cost scales with occupancy, not with the
+   ascending ring order, so the cost scales with occupancy, not with the
    4,096-bucket ring. Each word is read before its buckets are
    compacted, since emptying one clears its bit. *)
 let compact t ~keep =

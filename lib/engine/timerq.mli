@@ -1,16 +1,15 @@
 (** Calendar timer queue: a 4096-bucket, 512 ns-wide timing wheel with
     the binary heap ({!Pheap}) as an overflow tier for timers beyond the
-    ~2.1 ms horizon. A bucket's buffer is allocated when the bucket is
-    first used and kept for reuse, so a fresh queue is ~8k words and a
-    fully used one ~78k.
+    ~2.1 ms horizon. Each bucket is a linked list threaded through
+    slot-indexed arrays the queue owns, so a fresh queue is ~4.3k words
+    and grows by three words per payload slot, not per bucket.
 
     Payloads are bare ints (the {!Sim} event pool's slot indices); keys
     are (time, seq) pairs and entries dequeue in strict lexicographic
     (time, seq) order — exactly the order a global binary heap keyed the
     same way would produce, which is what keeps every experiment
-    byte-identical to the seed engine. Within a bucket, (offset, seq) is
-    packed into one int, so the hot push/pop path allocates nothing and
-    compares single integers.
+    byte-identical to the seed engine. Pushes and pops allocate nothing
+    beyond growing the slot arrays to a new largest slot.
 
     The queue does not track its owner's clock; the owner must call
     {!advance} whenever its clock moves forward so the wheel can rotate
@@ -36,8 +35,9 @@ val is_empty : t -> bool
 
 val push : t -> time:int -> seq:int -> int -> unit
 (** [push t ~time ~seq slot] enqueues payload [slot]. [time] must be at
-    or after the last {!advance}d time; [seq] must fit in 53 bits and be
-    unique (it is the deterministic tie-break). *)
+    or after the last {!advance}d time; [seq] must be unique (it is the
+    deterministic tie-break). [slot] is a non-negative index that is not
+    queued already: the entry is linked through the slot's own cells. *)
 
 val advance : t -> now:int -> unit
 (** [advance t ~now] rotates the wheel to [now]'s bucket. Call after
@@ -64,12 +64,8 @@ val compact : t -> keep:(int -> bool) -> unit
 
 (** {2 Observers}
 
-    Read by the tests. The two head observers assume the last
-    {!find_next} returned [true] and nothing changed since. *)
-
-val seq_bits : int
-(** Bits of the packed in-bucket key holding the sequence number; the
-    time offset from the bucket's first nanosecond sits above them. *)
+    Read by the tests. Both assume the last {!find_next} returned
+    [true] and nothing changed since. *)
 
 val head_in_wheel : t -> bool
 (** Whether the last {!find_next} located the minimum in the wheel (as

@@ -16,6 +16,21 @@ type run = {
   events : Trace.record list;
 }
 
+(* [List.mem], [List.assoc_opt] and [List.remove_assoc] with a typed
+   equality: Stdlib's versions compare through the polymorphic
+   [compare], a C call per element. [remove_assoc] drops the first match
+   only, as Stdlib's does. *)
+let rec mem eq x = function [] -> false | y :: rest -> eq x y || mem eq x rest
+
+let rec assoc_opt eq key = function
+  | [] -> None
+  | (k, v) :: rest -> if eq key k then Some v else assoc_opt eq key rest
+
+let rec remove_assoc eq key = function
+  | [] -> []
+  | ((k, _) as pair) :: rest ->
+      if eq key k then rest else pair :: remove_assoc eq key rest
+
 let make_run ?(tenants = []) ~experiment ~policy ~seed ~duration ~cores
     ~counters trace =
   {
@@ -353,7 +368,7 @@ let validate_json j =
                   (* Frozen-after-retire: a retired tenant's ladder must
                      never move again — its lane is kept, not driven. *)
                   let* () =
-                    if tenant >= 0 && List.mem tenant retired then
+                    if tenant >= 0 && mem Int.equal tenant retired then
                       Error
                         (Printf.sprintf
                            "overload transition for retired tenant %d (lane \
@@ -363,7 +378,7 @@ let validate_json j =
                   in
                   let want_seq, prev_level =
                     Option.value ~default:(1, "normal")
-                      (List.assoc_opt tenant chains)
+                      (assoc_opt Int.equal tenant chains)
                   in
                   let lane_tag =
                     if tenant < 0 then ""
@@ -416,7 +431,7 @@ let validate_json j =
                   Ok
                     ( t,
                       (tenant, (want_seq + 1, to_))
-                      :: List.remove_assoc tenant chains,
+                      :: remove_assoc Int.equal tenant chains,
                       retired,
                       fleet_seen ))
               (Ok (0, [], [], false))
@@ -481,7 +496,7 @@ let validate_json j =
                     in
                     let* () =
                       match registered with
-                      | Some ids when not (List.mem id ids) ->
+                      | Some ids when not (mem Int.equal id ids) ->
                           Error
                             (Printf.sprintf
                                "counter %s names unregistered tenant %d" k id)
@@ -494,16 +509,16 @@ let validate_json j =
                                k)
                     in
                     let prev =
-                      Option.value ~default:0 (List.assoc_opt suffix sums)
+                      Option.value ~default:0 (assoc_opt String.equal suffix sums)
                     in
-                    Ok ((suffix, prev + n) :: List.remove_assoc suffix sums))
+                    Ok ((suffix, prev + n) :: remove_assoc String.equal suffix sums))
               (Ok []) fields
           in
           List.fold_left
             (fun acc (suffix, total) ->
               let* () = acc in
               let global =
-                match List.assoc_opt suffix fields with
+                match assoc_opt String.equal suffix fields with
                 | Some v -> Option.value ~default:0 (Json.to_int v)
                 | None -> 0
               in

@@ -231,9 +231,13 @@ let parse_opt s = try Some (parse s) with Parse_error _ -> None
 
 (* --- accessors ----------------------------------------------------------- *)
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+(* Not [List.assoc_opt], which compares keys through Stdlib's
+   polymorphic [compare]. *)
+let rec field key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else field key rest
+
+let member key = function Obj fields -> field key fields | _ -> None
 
 let to_int = function Int i -> Some i | _ -> None
 let to_list = function Arr l -> Some l | _ -> None

@@ -198,8 +198,13 @@ let pause_run t c =
 
 (* --- work stealing ------------------------------------------------------- *)
 
-let admissible cid task =
-  task.Task.affinity = [] || List.mem cid task.Task.affinity
+(* [List.mem] would compare through Stdlib's polymorphic [compare], a C
+   call per element on every steal scan. *)
+let rec mem_cid cid = function
+  | [] -> false
+  | c :: rest -> Int.equal c cid || mem_cid cid rest
+
+let admissible cid task = task.Task.affinity = [] || mem_cid cid task.Task.affinity
 
 exception Admissible
 
@@ -548,9 +553,7 @@ and wake t ?src task =
   | Task.Runnable | Task.Running | Task.Spinning _ | Task.Dead -> ()
 
 and place_task t ?src task =
-  let allowed c =
-    c.online && (task.Task.affinity = [] || List.mem c.cid task.Task.affinity)
-  in
+  let allowed c = c.online && admissible c.cid task in
   let candidates =
     List.filter_map
       (fun id ->

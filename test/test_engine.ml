@@ -107,14 +107,13 @@ let prop_heap_compact_live_set =
 
 (* --- Timerq ----------------------------------------------------------------- *)
 
-(* The wheel's own contract, driven directly: [Sim] never issues
-   sequence numbers near 2^53, so the engine-level properties cannot
-   reach the top of the packed in-bucket key. Popping follows the owner
-   protocol — advance the clock to each popped time. *)
+(* The wheel's own contract, driven directly: [Sim] numbers its events
+   from 0 upwards, so the engine-level properties never reach the top
+   of the int range or a bucket thousands of entries deep. Popping
+   follows the owner protocol — advance the clock to each popped time. *)
 let bucket_ns = 1 lsl Timerq.slot_bits
 let n_buckets = 1 lsl Timerq.wheel_bits
 let horizon_ns = n_buckets * bucket_ns
-let max_seq = (1 lsl Timerq.seq_bits) - 1
 let entries = Alcotest.(list (triple int int int))
 
 let timerq_pop q =
@@ -131,34 +130,91 @@ let timerq_drain q =
   done;
   List.rev !out
 
-let test_timerq_packed_key_extremes () =
+let test_timerq_bucket_extremes () =
   let q = Timerq.create () in
   let b = 5 * bucket_ns in
   let last = b + bucket_ns - 1 in
   List.iter
     (fun (time, seq, slot) -> Timerq.push q ~time ~seq slot)
     [
-      (last, max_seq, 1);
+      (last, max_int, 1);
       (last, 0, 2);
-      (b, max_seq, 3);
+      (b, max_int, 3);
       (b + (bucket_ns / 2), 7, 4);
       (b, 0, 5);
     ];
   let expected =
     [
       (b, 0, 5);
-      (b, max_seq, 3);
+      (b, max_int, 3);
       (b + (bucket_ns / 2), 7, 4);
       (last, 0, 2);
-      (last, max_seq, 1);
+      (last, max_int, 1);
     ]
   in
   checkb "found" true (Timerq.find_next q);
   checkb "one wheel bucket" true
     (Timerq.head_in_wheel q && Timerq.head_bucket_len q = 5);
-  (* The bucket heap compares packed keys as plain ints: the largest
-     must still be non-negative and pop last. *)
+  (* The bucket's first and last nanoseconds, each with the smallest
+     and the largest seq: the sort must order on time, then seq. *)
   check entries "popped in (time, seq) order" expected (timerq_drain q)
+
+(* One bucket thousands of entries deep, pushed in random order, so the
+   merge sort runs its multi-pass path when the cursor lands on it.
+   While it drains, new entries go into the head bucket (ordered
+   inserts) and a compaction drops a third of it partway through.
+   Every pop must match a (time, seq) binary heap. *)
+let test_timerq_dense_bucket () =
+  let rng = Random.State.make [| 20 |] in
+  let q = Timerq.create () and reference = Pheap.create () in
+  let b = 3 * bucket_ns in
+  let n = 5000 in
+  let seq = ref 0 in
+  let push time =
+    Timerq.push q ~time ~seq:!seq !seq;
+    Pheap.push reference ~key:time ~seq:!seq !seq;
+    incr seq
+  in
+  (* Random times and a shuffled seq order, with many equal times so
+     the seq tie-break decides. *)
+  let times = Array.init n (fun _ -> b + Random.State.int rng 64) in
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  Array.iter (fun i -> push times.(i)) order;
+  let now = ref 0 and pops = ref 0 in
+  let pop () =
+    match Pheap.pop reference with
+    | None -> Alcotest.fail "reference heap empty"
+    | Some ((time, s, slot) as expected) ->
+        if not (Timerq.find_next q) then Alcotest.fail "queue empty early";
+        let ((t', s', slot') as got) = timerq_pop q in
+        if got <> expected then
+          Alcotest.failf "popped (%d, %d, %d), expected (%d, %d, %d)" t' s'
+            slot' time s slot;
+        now := time;
+        incr pops
+  in
+  checkb "found" true (Timerq.find_next q);
+  checki "one wheel bucket" n (Timerq.head_bucket_len q);
+  while !pops < n / 2 do
+    pop ();
+    (* into the head bucket, at or after the clock *)
+    if !pops mod 3 = 0 then push (!now + Random.State.int rng (b + 64 - !now))
+  done;
+  let keep slot = slot mod 3 <> 0 in
+  Timerq.compact q ~keep;
+  Pheap.compact reference ~keep;
+  checki "same population" (Pheap.length reference) (Timerq.length q);
+  while not (Pheap.is_empty reference) do
+    pop ();
+    if !pops mod 5 = 0 then push (!now + Random.State.int rng (b + 64 - !now))
+  done;
+  checkb "drained" true (Timerq.is_empty q)
 
 (* A standing population of eight timers, one pushed per pop, with
    times aimed at the edges: the clock's own instant and bucket, bucket
@@ -644,8 +700,8 @@ let check_footprint what ~cap v =
   if words > cap then
     Alcotest.failf "%s reaches %d words (cap %d)" what words cap
 
-(* A fresh engine holds its event pool and the wheel's spine and bitmap;
-   no bucket buffer exists until a timer lands in it. *)
+(* A fresh engine holds its event pool and the wheel's bucket heads and
+   bitmap; the queue's slot arrays grow with the pool, not per bucket. *)
 let test_sim_footprint () =
   check_footprint "Sim.create ()" ~cap:(22 * 1024) (Sim.create ())
 
@@ -1122,7 +1178,8 @@ let suite =
     ("sim immediate ordering", `Quick, test_sim_immediate);
     ("sim counters", `Quick, test_sim_counters);
     ("sim tombstone compaction", `Quick, test_sim_tombstone_compaction);
-    ("timerq packed key extremes", `Quick, test_timerq_packed_key_extremes);
+    ("timerq one-bucket extremes", `Quick, test_timerq_bucket_extremes);
+    ("timerq dense bucket == reference heap", `Quick, test_timerq_dense_bucket);
     ("timerq order across ring wraps", `Quick, test_timerq_ring_wraps);
     ("timerq horizon overflow", `Quick, test_timerq_horizon_overflow);
     ("timerq compact keeps order", `Quick, test_timerq_compact_order);

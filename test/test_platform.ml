@@ -55,8 +55,10 @@ let test_cp_affinity_per_policy () =
 
 (* The fixed cost of one simulated NIC: a warmed Tai Chi system, then
    the same system after 20 ms of data-plane traffic and vCPU-placing
-   control-plane churn, which touches the engine wheel's bucket buffers
-   and grows the packet arena to its working size. *)
+   control-plane churn, which sweeps every engine wheel bucket and grows
+   the event pool and the packet arena to their working sizes. The
+   loaded cap sits below the 133 K words a buffer per wheel bucket
+   reached (DESIGN §12). *)
 let test_system_footprint () =
   let sys = System.create ~seed:1 Policy.taichi_default in
   System.warmup sys;
@@ -67,7 +69,7 @@ let test_system_footprint () =
     ~until;
   System.advance sys (Time_ns.ms 20);
   Test_engine.check_footprint "taichi system after 20 ms of load"
-    ~cap:(264 * 1024) sys
+    ~cap:(112 * 1024) sys
 
 (* Minor words per fired engine event over one real cell at seed 42,
    [--scale 0.05]. The cell runs in this domain, since [Gc.minor_words]
