@@ -93,7 +93,7 @@ seed-sweep: build
 	diff test/seed-sweep.expected _build/seed-sweep.out
 
 # Re-promote every committed golden digest under test/golden: the tier-1
-# stdout digests and the two CI digest files. Dune prints the lines that
+# stdout digests and the three CI digest files. Dune prints the lines that
 # changed and promotes them; the second build then checks the promoted
 # files.
 golden-update: build

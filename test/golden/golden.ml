@@ -7,7 +7,11 @@
    goes to a temporary file that is digested and deleted before the next
    experiment runs, so at most one export is on disk at a time.
 
-     golden.exe [--trace] --seed N --scale F
+     golden.exe [--trace] --seed N --scale F [EXPERIMENT...]
+
+   With no experiment names it digests all 22 registered experiments;
+   with names it digests only those, in registry order. An unknown
+   name exits 2.
 
    Cells run on two sweep domains; output and exports are byte-identical
    at any domain count (DESIGN.md §11), so only wall time depends on it.
@@ -34,10 +38,11 @@ let digest ~trace ~seed ~scale desc =
         Taichi_metrics.Export.write_file path (Run_ctx.runs ctx);
         Digest.to_hex (Digest.file path))
 
-let usage = "golden.exe [--trace] --seed N --scale F"
+let usage = "golden.exe [--trace] --seed N --scale F [EXPERIMENT...]"
 
 let () =
   let trace = ref false and seed = ref None and scale = ref None in
+  let names = ref [] in
   let specs =
     [
       ("--trace", Arg.Set trace, " digest the trace export, not stdout");
@@ -45,13 +50,24 @@ let () =
       ("--scale", Arg.Float (fun f -> scale := Some f), "F duration scale");
     ]
   in
-  Arg.parse specs (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) usage;
+  Arg.parse specs (fun a -> names := a :: !names) usage;
+  (match List.find_opt (fun n -> Option.is_none (Experiments.find n)) !names with
+  | Some n ->
+      Printf.eprintf "golden.exe: unknown experiment %s\n" n;
+      exit 2
+  | None -> ());
+  let chosen desc =
+    match !names with
+    | [] -> true
+    | names -> List.mem (Exp_desc.name desc) names
+  in
   match (!seed, !scale) with
   | Some seed, Some scale ->
       List.iter
         (fun desc ->
-          Printf.printf "%s %s\n%!" (Exp_desc.name desc)
-            (digest ~trace:!trace ~seed ~scale desc))
+          if chosen desc then
+            Printf.printf "%s %s\n%!" (Exp_desc.name desc)
+              (digest ~trace:!trace ~seed ~scale desc))
         Experiments.all
   | _ ->
       Arg.usage specs usage;
