@@ -3,7 +3,6 @@ open Taichi_engine
 type kind = Net_rx | Net_tx | Storage_read | Storage_write
 
 type t = {
-  mutable pid : int;
   mutable kind : kind;
   mutable size : int;
   mutable dst_core : int;
@@ -15,15 +14,8 @@ type t = {
   idx : int;
 }
 
-(* Pids only need to be unique for identification in [pp]; the atomic
-   counter keeps allocation race-free when several simulated systems run
-   on concurrent domains. Behaviour must never depend on pid values. *)
-let next_pid = Atomic.make 0
-
 let create ~kind ~size ~dst_core ~tag =
-  let pid = Atomic.fetch_and_add next_pid 1 + 1 in
   {
-    pid;
     kind;
     size;
     dst_core;
@@ -37,7 +29,6 @@ let create ~kind ~size ~dst_core ~tag =
 
 let dummy =
   {
-    pid = 0;
     kind = Net_rx;
     size = 0;
     dst_core = 0;
@@ -48,16 +39,6 @@ let dummy =
     t_done = 0;
     idx = -1;
   }
-
-let kind_name = function
-  | Net_rx -> "net_rx"
-  | Net_tx -> "net_tx"
-  | Storage_read -> "storage_read"
-  | Storage_write -> "storage_write"
-
-let pp fmt t =
-  Format.fprintf fmt "pkt<%d %s %dB core%d tag=%d>" t.pid (kind_name t.kind)
-    t.size t.dst_core t.tag
 
 (* --- arena ---------------------------------------------------------------- *)
 
@@ -90,7 +71,6 @@ type arena = {
 
 let fresh_slot i =
   {
-    pid = 0;
     kind = Net_rx;
     size = 0;
     dst_core = 0;
@@ -141,7 +121,6 @@ let alloc a ~kind ~size ~dst_core ~tag =
   let i = a.freelist.(a.free_top) in
   a.alive.(i) <- true;
   let p = a.slots.(i) in
-  p.pid <- Atomic.fetch_and_add next_pid 1 + 1;
   p.kind <- kind;
   p.size <- size;
   p.dst_core <- dst_core;

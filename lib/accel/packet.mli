@@ -8,14 +8,17 @@
     recycle through a free list (mirroring the Sim event pool), so
     steady-state traffic allocates nothing per packet. {!create} remains
     for cold paths and tests; it heap-allocates a record the arena
-    ignores. *)
+    ignores.
+
+    A packet carries no id of its own: code that must tell two packets
+    apart compares them physically ([==]), and an arena packet's slot
+    is {!index}. *)
 
 open Taichi_engine
 
 type kind = Net_rx | Net_tx | Storage_read | Storage_write
 
 type t = {
-  mutable pid : int;
   mutable kind : kind;
   mutable size : int;  (** bytes *)
   mutable dst_core : int;
@@ -39,8 +42,6 @@ val create : kind:kind -> size:int -> dst_core:int -> tag:int -> t
 val dummy : t
 (** A shared inert record for initialising packet arrays. Never enqueue
     or free it. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Arena} *)
 

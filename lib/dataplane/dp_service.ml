@@ -347,9 +347,3 @@ let busy_fraction t ~elapsed =
         Accounting.Dp_work
     in
     float_of_int work /. float_of_int elapsed
-
-(* Wire the pipeline's delivery notification for this service's core. The
-   pipeline has a single deliver hook, so the platform composes them; this
-   helper builds the composition step. *)
-let attach_delivery t previous ~core:c =
-  if c = t.config.core then on_ring_activity t else previous ~core:c

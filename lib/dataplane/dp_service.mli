@@ -64,9 +64,9 @@ type hooks = {
 }
 
 val create : Machine.t -> Pipeline.t -> config -> t
-(** Creates the service, attaches its RX ring to the pipeline for
-    [config.core], and registers ring-delivery notification. The service
-    is stopped until {!start}. *)
+(** Creates the service and attaches its RX ring to the pipeline for
+    [config.core]; the caller routes that core's deliveries to
+    {!on_ring_activity}. The service is stopped until {!start}. *)
 
 val start : t -> unit
 (** Begin the poll loop (in [Counting] state). *)
@@ -141,7 +141,8 @@ val busy_fraction : t -> elapsed:Time_ns.t -> float
 (** Fraction of [elapsed] spent doing useful packet processing — the
     "data-plane CPU utilization" of Fig 3. *)
 
-val attach_delivery : t -> (core:int -> unit) -> core:int -> unit
-(** [attach_delivery t previous] composes this service's ring-activity
-    handler with an existing pipeline delivery hook: use as
-    [Pipeline.set_deliver_hook p (Dp_service.attach_delivery t old_hook)]. *)
+val on_ring_activity : t -> unit
+(** A descriptor landed in this service's ring: wake the poll loop, or
+    tell the policy through [work_arrived_while_yielded] when the core is
+    lent out. No-op before {!start}. The pipeline's delivery hook calls
+    it for the service that owns the delivered core. *)

@@ -98,14 +98,14 @@ let create ?(seed = 42) ?(layout = default_layout) ?prepare
   let net_services = List.mapi make_net net_cores in
   let storage_services = List.mapi make_sto storage_cores in
   let services = net_services @ storage_services in
-  (* Ring-delivery notifications. *)
-  let hook =
-    List.fold_left
-      (fun acc dp -> Dp_service.attach_delivery dp acc)
-      (fun ~core:_ -> ())
-      services
-  in
-  Pipeline.set_deliver_hook pipeline hook;
+  (* Ring-delivery notifications: each service owns its core, so a
+     delivery looks its service up by core. *)
+  let by_core = Array.make total None in
+  List.iter (fun dp -> by_core.(Dp_service.core dp) <- Some dp) services;
+  Pipeline.set_deliver_hook pipeline (fun ~core ->
+      match by_core.(core) with
+      | Some dp -> Dp_service.on_ring_activity dp
+      | None -> ());
   (* Policy machinery. *)
   let taichi =
     match policy with

@@ -19,8 +19,8 @@ let make_system () =
     Dp_service.create machine pipeline
       (Dp_service.default_config ~core:0 ~per_packet:(fun _ -> Time_ns.us 1) ())
   in
-  Pipeline.set_deliver_hook pipeline
-    (Dp_service.attach_delivery dp (fun ~core:_ -> ()));
+  Pipeline.set_deliver_hook pipeline (fun ~core:_ ->
+      Dp_service.on_ring_activity dp);
   Dp_service.start dp;
   (sim, machine, pipeline, dp)
 

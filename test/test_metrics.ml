@@ -234,6 +234,103 @@ let test_quantile_invalid_args () =
   checkb "out-of-range percentile rejected" true (raises (fun () ->
       Quantile.quantile q ~now:0 101.0))
 
+(* The sketch's fixed size is its aggregate: slice logs start empty. *)
+let test_quantile_footprint () =
+  Test_engine.check_footprint "fresh 8-slice Quantile" ~cap:(2 * 1024)
+    (Quantile.create ~slices:8 ~slice:(Time_ns.us 200) ())
+
+(* Once a full window has passed at a steady rate, every slot's log has
+   reached its working size and is reused as the slot turns over. *)
+let test_quantile_observe_alloc_free () =
+  let q = Quantile.create ~slices:8 ~slice:(Time_ns.us 200) () in
+  let now = ref 0 in
+  let feed i =
+    now := !now + Time_ns.us 1;
+    Quantile.observe q ~now:!now (1000 + ((i * 37) land 65535))
+  in
+  for i = 0 to (8 * 200) - 1 do
+    feed i
+  done;
+  Test_engine.check_alloc_free "Quantile.observe"
+    (Test_engine.minor_words_per_op feed)
+
+(* The dense sketch in [Quantile_legacy] is the oracle: random programs
+   of clock steps (within a slice, across one, past the whole window),
+   samples (small, large, negative, and [max_int], which clamps to the
+   top bucket) and reads at fixed and random percentiles must answer
+   identically from both. *)
+type q_op = Step of int | Observe of int | Count | Read of float
+
+let gen_q_program =
+  let open QCheck.Gen in
+  let* slices = int_range 1 9 in
+  let* slice = int_range 1 500 in
+  let window = slices * slice in
+  let step =
+    frequency
+      [
+        (6, int_range 0 (slice / 4));
+        (3, int_range slice (2 * slice));
+        (1, int_range window (3 * window));
+      ]
+  in
+  let sample =
+    frequency
+      [
+        (4, int_range 0 63);
+        (4, int_range 0 5_000_000);
+        (1, int_range (-1000) (-1));
+        (1, return max_int);
+      ]
+  in
+  let pct =
+    frequency
+      [
+        (1, return 0.0);
+        (1, return 50.0);
+        (2, return 99.0);
+        (1, return 100.0);
+        (2, float_range 0.0 100.0);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map (fun d -> Step d) step);
+        (10, map (fun v -> Observe v) sample);
+        (1, return Count);
+        (3, map (fun p -> Read p) pct);
+      ]
+  in
+  let* ops = list_size (int_range 0 600) op in
+  return (slices, slice, ops)
+
+let prop_quantile_oracle =
+  QCheck.Test.make ~name:"Quantile == dense sketch" ~count:300
+    (QCheck.make
+       ~print:(fun (slices, slice, ops) ->
+         Printf.sprintf "slices=%d slice=%d ops=%d" slices slice
+           (List.length ops))
+       gen_q_program)
+    (fun (slices, slice, ops) ->
+      let q = Quantile.create ~slices ~slice ()
+      and d = Quantile_legacy.create ~slices ~slice () in
+      let now = ref 0 in
+      List.for_all
+        (function
+          | Step dt ->
+              now := !now + dt;
+              true
+          | Observe v ->
+              Quantile.observe q ~now:!now v;
+              Quantile_legacy.observe d ~now:!now v;
+              true
+          | Count -> Quantile.count q ~now:!now = Quantile_legacy.count d ~now:!now
+          | Read p ->
+              Quantile.quantile q ~now:!now p
+              = Quantile_legacy.quantile d ~now:!now p)
+        ops)
+
 let test_table_render () =
   let t = Table.create ~columns:[ ("name", Table.Left); ("value", Table.Right) ] in
   Table.add_row t [ "alpha"; "1" ];
@@ -368,6 +465,11 @@ let suite =
     ("quantile window expiry", `Quick, test_quantile_window_expiry);
     ("quantile determinism", `Quick, test_quantile_determinism);
     ("quantile invalid args", `Quick, test_quantile_invalid_args);
+    ("quantile footprint", `Quick, test_quantile_footprint);
+    ( "quantile observe allocates nothing once warm",
+      `Quick,
+      test_quantile_observe_alloc_free );
+    QCheck_alcotest.to_alcotest prop_quantile_oracle;
     ("table render", `Quick, test_table_render);
     ("table mismatch", `Quick, test_table_mismatch);
     ("table cell formatting", `Quick, test_table_cells);
